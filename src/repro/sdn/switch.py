@@ -14,6 +14,7 @@ manager's punt path) and dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Optional
 
 from repro.epc.gtp import gtp_teid
@@ -41,7 +42,17 @@ class FlowSwitch(Node):
                  ip: Optional[str] = None) -> None:
         super().__init__(sim, name, ip)
         self.profile = profile
+        # the OpenFlow table, highest priority first and in install
+        # order within a priority band; _order is its parallel list of
+        # (-priority, install sequence) keys, so an install or a
+        # removal finds its position by bisection
         self.table: list[FlowRule] = []
+        self._order: list[tuple[int, int]] = []
+        self._seq = 0
+        # (cookie, priority, match.describe()) -> order key
+        self._slots: dict[tuple, tuple[int, int]] = {}
+        # cookie -> its rules' (cookie, priority, match.describe()) keys
+        self._by_cookie: dict[str, list[tuple]] = {}
         self._cache: dict[tuple, FlowRule] = {}
         self._cpu_free_at = 0.0
         self._fluid_cpu = None
@@ -61,15 +72,24 @@ class FlowSwitch(Node):
 
     def install(self, rule: FlowRule) -> None:
         """Add a rule; idempotent for an identical (cookie, priority,
-        match) triple -- re-installing replaces the previous rule in
-        place instead of duplicating it, so a retried FlowMod (or a
-        re-steer replayed over a lossy channel) leaves exactly one
-        rule in the table."""
+        match) triple -- re-installing replaces the previous rule
+        instead of duplicating it, so a retried FlowMod (or a re-steer
+        replayed over a lossy channel) leaves exactly one rule in the
+        table.  The replacement goes to the end of its priority band,
+        like any new rule."""
         key = (rule.cookie, rule.priority, rule.match.describe())
-        self.table = [r for r in self.table
-                      if (r.cookie, r.priority, r.match.describe()) != key]
-        self.table.append(rule)
-        self.table.sort(key=lambda r: -r.priority)
+        old = self._slots.get(key)
+        if old is None:
+            self._by_cookie.setdefault(rule.cookie, []).append(key)
+        else:
+            self._unlink(old)
+        self._seq += 1
+        slot = (-rule.priority, self._seq)
+        # the newest sequence number sorts last in its band
+        i = bisect_right(self._order, slot)
+        self._order.insert(i, slot)
+        self.table.insert(i, rule)
+        self._slots[key] = slot
         self._cache.clear()     # conservatively invalidate the fast path
         hooks = self.sim.hooks
         if hooks.has(FlowRuleInstalled):
@@ -77,17 +97,28 @@ class FlowSwitch(Node):
 
     def rules_for_cookie(self, cookie: str) -> list[FlowRule]:
         """The installed rules carrying a cookie (table order)."""
-        return [r for r in self.table if r.cookie == cookie]
+        slots = sorted(self._slots[key]
+                       for key in self._by_cookie.get(cookie, ()))
+        return [self.table[bisect_left(self._order, s)] for s in slots]
 
     def remove(self, cookie: str) -> list[FlowRule]:
-        removed = [r for r in self.table if r.cookie == cookie]
-        self.table = [r for r in self.table if r.cookie != cookie]
+        """Delete the rules carrying a cookie; returns them in table
+        order (empty if none were installed)."""
+        slots = sorted(self._slots.pop(key)
+                       for key in self._by_cookie.pop(cookie, ()))
+        removed = [self._unlink(slot) for slot in slots]
         self._cache.clear()
         hooks = self.sim.hooks
         if hooks.has(FlowRuleRemoved):
             hooks.emit(FlowRuleRemoved(switch=self, cookie=cookie,
                                        count=len(removed)))
         return removed
+
+    def _unlink(self, slot: tuple[int, int]) -> FlowRule:
+        """Take the rule whose order key is ``slot`` out of the table."""
+        i = bisect_left(self._order, slot)
+        del self._order[i]
+        return self.table.pop(i)
 
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
         for rule in self.table:
