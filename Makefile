@@ -50,10 +50,10 @@ bench-continuity:   ## relocation policies across the edge fabric -> BENCH_conti
 bench-continuity-smoke:   ## quick continuity + determinism gates, no committed output
 	PYTHONPATH=src $(PYTHON) tools/bench_continuity.py --smoke --out /tmp/BENCH_continuity_smoke.json
 
-bench-shard:   ## sharded vs single-process: identity on all presets + 4-site speedup -> BENCH_shard.json
+bench-shard:   ## 4-site fleets, inline vs process backend: digest identity + speedup -> BENCH_shard.json
 	PYTHONPATH=src $(PYTHON) tools/bench_shard.py
 
-bench-shard-smoke:   ## 2-site digest identity + speedup floor, no committed output
+bench-shard-smoke:   ## 2-site fleet, inline vs process: digest identity + speedup floor, no committed output
 	PYTHONPATH=src $(PYTHON) tools/bench_shard.py --smoke --out /tmp/BENCH_shard_smoke.json
 
 quick:   ## tests + the sub-second benchmarks only

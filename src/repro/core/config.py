@@ -338,13 +338,10 @@ class ContinuityConfig(ConfigMapping):
 #: Available data-plane models (see :mod:`repro.sim.fluid`).
 DATA_PLANES = ("packet", "fluid-bg")
 
-#: Available sharding modes (see :mod:`repro.sim.shard`).
-SHARDING_MODES = ("off", "site")
-
 
 @dataclass
 class SimConfig(ConfigMapping):
-    """Selects and parameterises the discrete-event scheduler.
+    """Selects the discrete-event scheduler and the data-plane model.
 
     ``scheduler=None`` (the default) defers to the
     ``REPRO_SIM_SCHEDULER`` environment variable and then to the fast
@@ -360,28 +357,18 @@ class SimConfig(ConfigMapping):
     signalling traffic stays per-packet.  ``"packet"`` mode is
     byte-identical to a build without the fluid subsystem.
 
-    ``sharding`` selects the execution layout: ``"off"`` (the default)
-    runs everything in one process; ``"site"`` partitions a multi-site
-    deployment into per-edge-site shard processes synchronized by
-    conservative WAN-lookahead windows (:mod:`repro.sim.shard`).
-    Sharded runs are byte-identical to single-process runs -- the
-    setting changes wall-clock only, never results.
+    The timer-wheel geometry and the event-pool cap keep their
+    defaults here; tests that vary them construct
+    :class:`~repro.sim.engine.Simulator` directly.
     """
 
     scheduler: str | None = None
-    wheel_granularity: float = 1e-4
-    wheel_slots: int = 1024
-    pool_size: int = 1024
     data_plane: str = "packet"
-    sharding: str = "off"
 
     def __post_init__(self) -> None:
         if self.data_plane not in DATA_PLANES:
             raise ValueError(f"unknown data plane {self.data_plane!r}; "
                              f"expected one of {DATA_PLANES}")
-        if self.sharding not in SHARDING_MODES:
-            raise ValueError(f"unknown sharding mode {self.sharding!r}; "
-                             f"expected one of {SHARDING_MODES}")
 
     def build_simulator(self):
         """Construct a :class:`~repro.sim.engine.Simulator`.
@@ -391,10 +378,7 @@ class SimConfig(ConfigMapping):
         """
         from repro.sim.engine import Simulator
 
-        return Simulator(scheduler=self.scheduler,
-                         wheel_granularity=self.wheel_granularity,
-                         wheel_slots=self.wheel_slots,
-                         pool_size=self.pool_size)
+        return Simulator(scheduler=self.scheduler)
 
 
 #: Available object-matching engines (see :mod:`repro.vision.batch`).

@@ -38,51 +38,11 @@ class TrialResult:
         return data
 
 
-def _wants_isolation(trial: TrialSpec) -> bool:
-    """Should this trial run in a dedicated shard process?
-
-    ``sharding="site"`` means per-edge-site shard processes; a
-    workload that manages its own shard fleet (``shard_fabric``)
-    honours the mode itself, and a monolithic workload -- one shared
-    control plane, so there is no site boundary to partition along --
-    degenerates to a single shard: the whole trial in one child
-    process, trivially byte-identical.  Inside a shard child the mode
-    is already satisfied, so never recurse.
-    """
-    if trial.workload == "shard_fabric":
-        return False
-    from repro.sim import shard
-    if shard.in_shard_child():
-        return False
-    p = trial.param_dict
-    if p.get("sharding") == "site":
-        return True
-    # scenario documents carry the mode in their network section
-    network = p.get("network")
-    if isinstance(network, dict):
-        return network.get("sim", {}).get("sharding") == "site"
-    return False
-
-
-def shard_width(trial: TrialSpec) -> int:
-    """How many OS processes the trial occupies while running (its
-    shard fleet, or 1 when unsharded) -- the worker-budget currency."""
-    if trial.workload == "shard_fabric" \
-            and trial.param_dict.get("sharding") == "site":
-        return max(1, int(trial.param_dict.get("n_sites", 3)))
-    return 1
-
-
 def run_trial(trial: TrialSpec) -> TrialResult:
     """Execute one trial; failures are captured, not raised, so a bad
     sweep cell cannot take down the whole experiment."""
     try:
-        fn = workloads.get(trial.workload)
-        if _wants_isolation(trial):
-            from repro.sim.shard import run_isolated
-            metrics = run_isolated(fn, trial)
-        else:
-            metrics = fn(trial)
+        metrics = workloads.get(trial.workload)(trial)
         return TrialResult(trial=trial, status="ok", metrics=metrics)
     except Exception:
         return TrialResult(trial=trial, status="error",
@@ -144,27 +104,12 @@ class ExperimentRunner:
         self.spec = spec
         self.workers = workers
 
-    def effective_workers(self, trials: list[TrialSpec]) -> int:
-        """Pool size after the intra-trial sharding budget.
-
-        A sharded trial occupies :func:`shard_width` processes, so
-        running ``workers`` of them at once would oversubscribe the
-        host ``width``-fold.  The budget divides the requested worker
-        count by the widest trial, keeping the total process count
-        (pool workers x shards each) within the original grant.
-        """
-        assert self.workers is not None
-        width = max((shard_width(t) for t in trials), default=1)
-        return max(1, self.workers // width)
-
     def run(self) -> ExperimentResult:
         trials = self.spec.trials()
-        workers = (None if self.workers is None or len(trials) <= 1
-                   else self.effective_workers(trials))
-        if workers is None or workers == 1:
+        if self.workers is None or self.workers == 1 or len(trials) <= 1:
             results = [run_trial(trial) for trial in trials]
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=self.workers) as pool:
                 # map preserves input order regardless of completion order
                 results = list(pool.map(run_trial, trials))
         return ExperimentResult(spec=self.spec, trials=results)

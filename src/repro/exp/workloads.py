@@ -533,18 +533,18 @@ def run_shard_fabric(trial: TrialSpec) -> dict[str, Any]:
     the full-mesh WAN conduits -- federated by
     :class:`~repro.sim.shard.ShardedSimulator`.
 
-    ``sharding`` selects the execution layout only: ``"off"`` runs the
-    federation inline in this process, ``"site"`` gives every site its
-    own OS process.  The result dict is byte-identical either way
-    (asserted by the differential tests and ``tools/bench_shard.py``),
-    which is why it deliberately carries no backend marker -- only
-    invariant quantities.  The window-round count is *not* one (the
-    window schedule follows scheduler lower bounds, so it may differ
-    across schedulers); it lives in
+    ``backend`` selects the execution layout only: ``"inline"`` (the
+    default) runs the federation in this process, ``"process"`` gives
+    every site its own OS process.  The result dict is byte-identical
+    either way (asserted by the differential tests and
+    ``tools/bench_shard.py``), which is why it deliberately carries no
+    backend marker -- only invariant quantities.  The window-round
+    count is *not* one (the window schedule follows scheduler lower
+    bounds, so it may differ across schedulers); it lives in
     :meth:`~repro.sim.shard.ShardedSimulator.stats` for the bench
     driver, not here.
 
-    Parameters (``trial.params``): ``sharding``, ``n_sites``,
+    Parameters (``trial.params``): ``backend``, ``n_sites``,
     ``n_ues`` (per site), ``wan_delay`` (the conduit delay and
     therefore the conservative lookahead), ``warmup`` / ``duration`` /
     ``tail`` (horizon shape), ``ping_interval`` / ``ping_size``,
@@ -552,14 +552,9 @@ def run_shard_fabric(trial: TrialSpec) -> dict[str, Any]:
     (per site; ``fluid-bg`` + load gives the fluid sharded profile).
     """
     from repro.baselines.deployments import ShardSiteApp
-    from repro.core.config import SHARDING_MODES
     from repro.sim.shard import Conduit, ShardSpec, ShardedSimulator
 
     p = trial.param_dict
-    sharding = p.get("sharding", "off")
-    if sharding not in SHARDING_MODES:
-        raise ValueError(f"unknown sharding mode {sharding!r}; "
-                         f"expected one of {SHARDING_MODES}")
     n_sites = int(p.get("n_sites", 3))
     if n_sites < 2:
         raise ValueError("shard_fabric needs at least 2 sites")
@@ -584,9 +579,8 @@ def run_shard_fabric(trial: TrialSpec) -> dict[str, Any]:
              for name in names]
     conduits = [Conduit(names[i], names[j], wan_delay)
                 for i in range(n_sites) for j in range(i + 1, n_sites)]
-    sharded = ShardedSimulator(
-        specs, conduits,
-        backend="process" if sharding == "site" else "inline")
+    sharded = ShardedSimulator(specs, conduits,
+                               backend=p.get("backend", "inline"))
     sites = sharded.run(until=warmup + duration + tail)
     return {
         "n_sites": n_sites,

@@ -6,8 +6,10 @@ A :class:`Scenario` wraps a schema-validated document
 * cross-validate the parts the schema cannot express -- the
   ``network`` overlay deserialises through the strict
   :meth:`~repro.core.config.NetworkConfig.from_dict`, every entry of
-  ``faults`` through :meth:`~repro.faults.plan.FaultSpec.from_dict` --
-  re-raising their errors with document-level paths;
+  ``faults`` through :meth:`~repro.faults.plan.FaultSpec.from_dict`,
+  the generic workload's sweep axes against
+  :data:`~repro.scenario.runtime.OVERRIDES` -- re-raising their errors
+  with document-level paths;
 * compute a stable content :meth:`digest` (sha256 of the canonical
   JSON form) embedded into run provenance so results are auditable
   back to the exact document that produced them;
@@ -103,7 +105,7 @@ class Scenario:
                     f"{GENERIC_WORKLOAD!r} workload, not {workload!r}")
 
         sweep = data["experiment"].get("sweep", {})
-        _check_sweep(sweep)
+        _check_sweep(sweep, workload == GENERIC_WORKLOAD)
 
         return cls(name=meta["name"], version=int(meta["version"]),
                    description=meta["description"],
@@ -160,7 +162,9 @@ class Scenario:
             params=params)
 
 
-def _check_sweep(sweep: Any) -> None:
+def _check_sweep(sweep: Any, generic: bool) -> None:
+    from repro.scenario.runtime import OVERRIDES
+
     pairs = sweep.items() if isinstance(sweep, Mapping) else sweep
     for i, pair in enumerate(pairs):
         if isinstance(sweep, Mapping):
@@ -180,6 +184,10 @@ def _check_sweep(sweep: Any) -> None:
         if not isinstance(values, (list, tuple)) or not values:
             raise ScenarioValidationError(
                 path, "axis values must be a non-empty array")
+        if generic and axis not in OVERRIDES:
+            raise ScenarioValidationError(
+                path, f"unknown axis {axis!r}; the {GENERIC_WORKLOAD!r} "
+                      f"workload sweeps only {sorted(OVERRIDES)}")
 
 
 def _freeze_sweep_document(sweep: Any) -> tuple:

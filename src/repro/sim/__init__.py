@@ -25,8 +25,7 @@ from repro.sim.link import Link
 from repro.sim.monitor import FlowStats, LatencyProbe, ThroughputMeter
 from repro.sim.node import Node, PacketSink
 from repro.sim.packet import Header, Packet
-from repro.sim.shard import (Conduit, ShardPort, ShardSpec,
-                             ShardedSimulator, run_isolated)
+from repro.sim.shard import Conduit, ShardPort, ShardSpec, ShardedSimulator
 from repro.sim.tcp import TcpSink, TcpSource
 from repro.sim.traffic import CBRSource, GreedySource, PoissonSource
 from repro.sim.wan import LTE_WAN_PROFILES, WANProfile
@@ -64,5 +63,4 @@ __all__ = [
     "ThroughputMeter",
     "WANProfile",
     "derive_seed",
-    "run_isolated",
 ]

@@ -263,10 +263,9 @@ class Simulator:
         instance, or ``None`` to defer to the ``REPRO_SIM_SCHEDULER``
         environment variable (default ``"fast"``).  See
         :mod:`repro.sim.scheduler` and
-        :class:`repro.core.config.SimConfig`.
-    wheel_granularity / wheel_slots:
-        Timer-wheel geometry for the fast scheduler (ignored by the
-        reference one).
+        :class:`repro.core.config.SimConfig`.  Pass a
+        :class:`~repro.sim.scheduler.FastScheduler` instance to pick a
+        non-default timer-wheel geometry.
     pool_size:
         Upper bound on the free pool of recycled internal events.
 
@@ -282,8 +281,6 @@ class Simulator:
 
     def __init__(self,
                  scheduler: Union[str, SchedulerBase, None] = None,
-                 wheel_granularity: float = 1e-4,
-                 wheel_slots: int = 1024,
                  pool_size: int = 1024) -> None:
         self.now: float = 0.0
         self.hooks = HookBus()
@@ -294,9 +291,7 @@ class Simulator:
         #: cached ``next_event_time()`` bound may now be stale and must
         #: be re-sampled instead of sleeping through the old target.
         self.arm_epoch: int = 0
-        self._scheduler = build_scheduler(scheduler,
-                                          granularity=wheel_granularity,
-                                          slots=wheel_slots)
+        self._scheduler = build_scheduler(scheduler)
         self._seq = itertools.count()
         self._events_run = 0
         self._live = 0          # not-yet-cancelled, not-yet-run events

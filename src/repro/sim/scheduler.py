@@ -61,9 +61,8 @@ SCHEDULER_NAMES = ("fast", "reference")
 DEFAULT_SCHEDULER = "fast"
 
 
-def build_scheduler(spec: Union[str, None, "SchedulerBase"] = None,
-                    granularity: float = 1e-4,
-                    slots: int = 1024) -> "SchedulerBase":
+def build_scheduler(spec: Union[str, None, "SchedulerBase"] = None
+                    ) -> "SchedulerBase":
     """Resolve a scheduler choice to an instance.
 
     ``spec`` may be an instance (returned as-is), a name from
@@ -75,7 +74,7 @@ def build_scheduler(spec: Union[str, None, "SchedulerBase"] = None,
         return spec
     name = spec or os.environ.get("REPRO_SIM_SCHEDULER") or DEFAULT_SCHEDULER
     if name == "fast":
-        return FastScheduler(granularity=granularity, slots=slots)
+        return FastScheduler()
     if name == "reference":
         return ReferenceScheduler()
     raise ValueError(f"unknown scheduler {name!r}; "

@@ -63,7 +63,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -74,13 +73,7 @@ __all__ = [
     "ShardSpec",
     "ShardedSimulator",
     "canonical_digest",
-    "run_isolated",
 ]
-
-#: Environment marker set inside shard/isolated child processes, so
-#: host-side dispatchers (the exp runner) never recurse into another
-#: layer of process isolation.
-SHARD_CHILD_ENV = "REPRO_SHARD_CHILD"
 
 #: Hard cap on protocol rounds, as a guard against a mis-built
 #: federation (e.g. a zero-lookahead loop slipping past validation).
@@ -251,7 +244,6 @@ class _InlineShard:
 def _shard_worker(conn, index: int, spec: ShardSpec,
                   delays: dict[str, float]) -> None:
     """Child-process main loop: build once, then serve protocol rounds."""
-    os.environ[SHARD_CHILD_ENV] = "1"
     try:
         port = ShardPort(index, spec.name, delays)
         app = spec.build(port, **spec.kwargs)
@@ -301,15 +293,19 @@ class _ProcessShard:
             name=f"shard-{spec.name}")
         self._proc.start()
         child.close()
+        self._exited = False
         self._ready = self._recv()
 
     def _recv(self):
         try:
             message = self._conn.recv()
         except EOFError:
+            self._exited = True
             raise RuntimeError(
                 f"shard {self.name!r} process died without replying "
                 f"(exitcode {self._proc.exitcode})") from None
+        # a result or an error is the child's last message
+        self._exited = message[0] in ("result", "error")
         if message[0] == "error":
             raise RuntimeError(
                 f"shard {self.name!r} failed:\n{message[1]}")
@@ -331,14 +327,13 @@ class _ProcessShard:
         return self._recv()[0]
 
     def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        self._proc.join(timeout=10.0)
-        if self._proc.is_alive():  # pragma: no cover - hung child
+        self._conn.close()
+        if not self._exited:
+            # abandoned mid-protocol because a peer failed: the child
+            # inherited its own copy of the coordinator's pipe end at
+            # fork, so closing ours never reaches it as EOF
             self._proc.terminate()
-            self._proc.join(timeout=10.0)
+        self._proc.join(timeout=10.0)
 
 
 #: Execution backends: ``inline`` is the single-process reference,
@@ -484,59 +479,3 @@ class ShardedSimulator:
             "envelopes_sent": self.envelopes_sent,
             "envelopes_dropped": self.envelopes_dropped,
         }
-
-
-# ---------------------------------------------------------------------------
-# degenerate single-shard isolation
-# ---------------------------------------------------------------------------
-
-def _isolated_entry(conn, fn, args) -> None:
-    os.environ[SHARD_CHILD_ENV] = "1"
-    try:
-        conn.send(("ok", fn(*args)))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
-
-
-def in_shard_child() -> bool:
-    """True inside a shard or isolated child process."""
-    return os.environ.get(SHARD_CHILD_ENV) == "1"
-
-
-def run_isolated(fn: Callable[..., Any], *args: Any) -> Any:
-    """Run ``fn(*args)`` to completion in a dedicated child process.
-
-    The degenerate single-shard execution path: a monolithic world
-    (one shared MME/control plane, so it cannot be partitioned along
-    WAN conduits) still honours ``sharding="site"`` by running whole
-    in one shard process -- trivially byte-identical to in-process
-    execution, since it runs the very same code.  ``fn`` and ``args``
-    must be picklable; the return value crosses the pipe back.
-    """
-    ctx = _mp_context()
-    parent, child = ctx.Pipe()
-    proc = ctx.Process(target=_isolated_entry, args=(child, fn, args),
-                       name=f"isolated-{getattr(fn, '__name__', 'fn')}")
-    proc.start()
-    child.close()
-    try:
-        try:
-            message = parent.recv()
-        except EOFError:
-            raise RuntimeError(
-                f"isolated process died without replying "
-                f"(exitcode {proc.exitcode})") from None
-    finally:
-        parent.close()
-        proc.join(timeout=10.0)
-        if proc.is_alive():  # pragma: no cover - hung child
-            proc.terminate()
-            proc.join(timeout=10.0)
-    if message[0] == "error":
-        raise RuntimeError(f"isolated run failed:\n{message[1]}")
-    return message[1]

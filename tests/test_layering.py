@@ -250,20 +250,19 @@ def test_no_scheduler_internals_outside_sim():
 
 #: Sharded-execution internals: the window-protocol backends, the
 #: per-shard worker loop and the coordinator's pending-envelope state
-#: are private to ``repro.sim.shard``.  Higher layers select sharding
-#: declaratively (``SimConfig.sharding``, the ``sharding`` workload
-#: param) or assemble fleets through the public surface
-#: (``ShardSpec``/``Conduit``/``ShardedSimulator``/``run_isolated``).
+#: are private to ``repro.sim.shard``.  Higher layers pick a backend
+#: through the ``shard_fabric`` workload's ``backend`` param or
+#: assemble fleets through the public surface
+#: (``ShardSpec``/``Conduit``/``ShardedSimulator``).
 SHARD_INTERNALS = {"_InlineShard", "_ProcessShard", "_shard_worker",
                    "_advance", "_inject", "_drive", "_mp_context",
-                   "_envelope_key", "_isolated_entry"}
+                   "_envelope_key"}
 
-#: The only modules outside ``repro.sim`` that may import
-#: ``repro.sim.shard``: the exp runner (degenerate single-shard
-#: isolation of monolithic trials) and the workload registry (fleet
-#: assembly for ``shard_fabric``).  ``baselines`` ships the per-site
-#: shard app but stays decoupled through the duck-typed port.
-SHARD_WIRING_FILES = {"exp/runner.py", "exp/workloads.py"}
+#: The only module outside ``repro.sim`` that may import
+#: ``repro.sim.shard``: the workload registry (fleet assembly for
+#: ``shard_fabric``).  ``baselines`` ships the per-site shard app but
+#: stays decoupled through the duck-typed port.
+SHARD_WIRING_FILES = {"exp/workloads.py"}
 
 
 def test_shard_importable_only_from_sanctioned_layers():
@@ -291,7 +290,7 @@ def test_shard_importable_only_from_sanctioned_layers():
                                   "imports repro.sim.shard")
     assert sorted(set(violations)) == [], (
         "repro.sim.shard imported outside its sanctioned layers; "
-        "select sharding via SimConfig.sharding / the workload param "
+        "run fleets through the shard_fabric workload "
         f"instead: {sorted(set(violations))}")
 
 

@@ -128,6 +128,18 @@ def test_empty_sweep_values_are_rejected():
     assert "experiment.sweep.n_ues" in str(excinfo.value)
 
 
+def test_sharding_is_neither_a_sim_key_nor_a_sweep_axis():
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        Scenario.from_dict(minimal(network={"sim": {"sharding": "site"}}))
+    assert excinfo.value.path == "network.sim"
+    assert "'sharding'" in str(excinfo.value)
+    doc = minimal()
+    doc["experiment"]["sweep"] = {"sharding": ["off", "site"]}
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        Scenario.from_dict(doc)
+    assert excinfo.value.path == "experiment.sweep.sharding"
+
+
 def test_digest_is_stable_and_order_insensitive():
     a = Scenario.from_dict(minimal(topology={"sites": 2,
                                              "enbs_per_site": 1}))

@@ -299,7 +299,7 @@ def test_cancelled_wheel_timers_cost_no_execution():
 
 
 def test_coarse_band_cascades_into_fine():
-    sim = Simulator(wheel_granularity=1e-4, wheel_slots=64)
+    sim = Simulator(FastScheduler(granularity=1e-4, slots=64))
     ran = []
     # 64 slots x 0.1ms = 6.4ms fine span; these must cascade
     for i in range(20):
@@ -312,7 +312,7 @@ def test_coarse_band_cascades_into_fine():
 def test_heap_fallback_for_subslot_rearm():
     """An event landing in the bucket currently being consumed falls
     back to the tuple heap and still runs in exact order."""
-    sim = Simulator(wheel_granularity=1e-3)
+    sim = Simulator(FastScheduler(granularity=1e-3))
     out = []
 
     def first():

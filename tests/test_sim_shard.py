@@ -1,24 +1,23 @@
-"""Sharded execution: determinism, deadlock freedom, runner wiring.
+"""Sharded execution: determinism, deadlock freedom, failure teardown.
 
 The load-bearing property is byte-identity: a sharded run must produce
-exactly the result of the single-process run, on every preset, under
-either scheduler.  The differential tests here drive the same worlds
+exactly the result of the single-process run, under either
+scheduler.  The differential tests here drive the same worlds
 through both backends and compare canonical digests (plus the
 execution-order cross-delivery traces embedded in them).
 """
 
 import random
+import time
 
 import pytest
 
 from repro.core.network import wan_link_name
-from repro.exp.runner import (ExperimentRunner, _wants_isolation, run_trial,
-                              shard_width)
-from repro.exp.spec import ExperimentSpec, TrialSpec
+from repro.exp.spec import TrialSpec
 from repro.exp.workloads import get as get_workload
 from repro.sim.context import SimContext
 from repro.sim.shard import (Conduit, ShardSpec, ShardedSimulator,
-                             canonical_digest, run_isolated)
+                             canonical_digest)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +110,11 @@ def test_shard_child_failure_surfaces_with_traceback():
              ShardSpec("b", TickApp, {})]
     sharded = ShardedSimulator(specs, [Conduit("a", "b", 0.05)],
                                backend="process")
+    start = time.perf_counter()
     with pytest.raises(RuntimeError, match="no conduit to 'missing'"):
         sharded.run(until=1.0)
+    # the surviving shard is torn down, not waited on
+    assert time.perf_counter() - start < 3.0
 
 
 def test_federation_validation():
@@ -141,34 +143,34 @@ def test_no_conduits_means_one_window():
 
 
 # ---------------------------------------------------------------------------
-# randomized differential: the fabric workload, off vs site, both
-# schedulers
+# randomized differential: the fabric workload, inline vs process,
+# both schedulers
 # ---------------------------------------------------------------------------
 
-def _fabric_trial(sharding, seed, n_sites=3):
+def _fabric_trial(backend, seed, n_sites=3):
     return TrialSpec(experiment="diff", index=0, workload="shard_fabric",
                      base_seed=0, seed=seed,
-                     params=(("sharding", sharding), ("n_sites", n_sites),
+                     params=(("backend", backend), ("n_sites", n_sites),
                              ("n_ues", 2), ("duration", 1.5),
                              ("wan_delay", 0.05), ("sync_interval", 0.4)))
 
 
 @pytest.mark.parametrize("scheduler", ["fast", "reference"])
 def test_shard_fabric_differential_randomized(scheduler, monkeypatch):
-    """Same 3-site workload, sharding=off vs site, random seeds: the
-    execution-order cross-delivery traces and full result digests must
-    match exactly, under either scheduler."""
+    """Same 3-site workload, inline vs process backend, random seeds:
+    the execution-order cross-delivery traces and full result digests
+    must match exactly, under either scheduler."""
     monkeypatch.setenv("REPRO_SIM_SCHEDULER", scheduler)
     fn = get_workload("shard_fabric")
     for seed in random.Random(20260808).sample(range(10_000), 2):
-        off = fn(_fabric_trial("off", seed))
-        site = fn(_fabric_trial("site", seed))
-        for name in off["sites"]:
-            assert off["sites"][name]["sync_trace"] == \
-                site["sites"][name]["sync_trace"]
-        assert canonical_digest(off) == canonical_digest(site)
-        assert off["sites"]["edge0"]["sync_received"] > 0
-        assert off["sites"]["edge0"]["pings_answered"] > 0
+        inline = fn(_fabric_trial("inline", seed))
+        process = fn(_fabric_trial("process", seed))
+        for name in inline["sites"]:
+            assert inline["sites"][name]["sync_trace"] == \
+                process["sites"][name]["sync_trace"]
+        assert canonical_digest(inline) == canonical_digest(process)
+        assert inline["sites"]["edge0"]["sync_received"] > 0
+        assert inline["sites"]["edge0"]["pings_answered"] > 0
 
 
 def test_shard_fabric_scheduler_invariant(monkeypatch):
@@ -176,73 +178,13 @@ def test_shard_fabric_scheduler_invariant(monkeypatch):
     fn = get_workload("shard_fabric")
     for scheduler in ("fast", "reference"):
         monkeypatch.setenv("REPRO_SIM_SCHEDULER", scheduler)
-        digests[scheduler] = canonical_digest(fn(_fabric_trial("off", 11)))
+        digests[scheduler] = canonical_digest(fn(_fabric_trial("inline", 11)))
     assert digests["fast"] == digests["reference"]
 
 
 def test_shard_fabric_result_carries_no_backend_marker():
-    result = get_workload("shard_fabric")(_fabric_trial("off", 3))
-    assert "sharding" not in result and "backend" not in result
-
-
-# ---------------------------------------------------------------------------
-# degenerate isolation + runner wiring
-# ---------------------------------------------------------------------------
-
-def _double(x):
-    return {"doubled": 2 * x}
-
-
-def _boom():
-    raise RuntimeError("inner detail")
-
-
-def test_run_isolated_returns_value_and_propagates_errors():
-    assert run_isolated(_double, 21) == {"doubled": 42}
-    with pytest.raises(RuntimeError, match="inner detail"):
-        run_isolated(_boom)
-
-
-def _scale_trial(extra=()):
-    return TrialSpec(experiment="x", index=0, workload="scale",
-                     base_seed=0, seed=5,
-                     params=(("n_ues", 3), ("pings", 2)) + tuple(extra))
-
-
-def test_runner_isolates_monolithic_site_trials():
-    off = _scale_trial()
-    site = _scale_trial((("sharding", "site"),))
-    assert not _wants_isolation(off)
-    assert _wants_isolation(site)
-    r_off, r_site = run_trial(off), run_trial(site)
-    assert r_off.status == "ok", r_off.error
-    assert r_site.status == "ok", r_site.error
-    assert canonical_digest(r_off.metrics) == canonical_digest(r_site.metrics)
-
-
-def test_runner_never_isolates_the_shard_fleet_workload():
-    assert not _wants_isolation(_fabric_trial("site", 0))
-
-
-def test_worker_budget_divides_by_shard_width():
-    assert shard_width(_fabric_trial("site", 0, n_sites=4)) == 4
-    assert shard_width(_fabric_trial("off", 0, n_sites=4)) == 1
-    assert shard_width(_scale_trial()) == 1
-    spec = ExperimentSpec(name="b", workload="shard_fabric", seeds=(0,),
-                          params={"sharding": "site", "n_sites": 4,
-                                  "n_ues": 2, "duration": 0.5})
-    runner = ExperimentRunner(spec, workers=8)
-    assert runner.effective_workers(spec.trials()) == 2
-    runner = ExperimentRunner(spec, workers=2)
-    assert runner.effective_workers(spec.trials()) == 1
-
-
-def test_sharding_config_validation():
-    from repro.core.config import SimConfig
-    assert SimConfig().sharding == "off"
-    assert SimConfig(sharding="site").sharding == "site"
-    with pytest.raises(ValueError, match="unknown sharding mode"):
-        SimConfig(sharding="cell")
+    result = get_workload("shard_fabric")(_fabric_trial("inline", 3))
+    assert "backend" not in result
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,13 @@
 Two claims are checked, in this order of importance:
 
 1. **Identity** -- sharded execution changes wall-clock only, never
-   results.  The ``shard_fabric`` fleet is run ``sharding=off``
-   (inline single process) and ``sharding=site`` (one OS process per
-   edge site) and the canonical result digests must match exactly;
-   every shipped experiment preset is additionally run through the
-   degenerate single-shard path (:func:`repro.sim.shard.run_isolated`)
-   and each trial's metrics must digest identically to the in-process
-   run.  Identity failures are always fatal, on every host.
+   results.  The ``shard_fabric`` fleet is run on the ``inline``
+   backend (single process) and the ``process`` backend (one OS
+   process per edge site) and the canonical result digests must match
+   exactly.  Identity failures are always fatal, on every host.
 
 2. **Speedup** -- per-site shard processes beat the single process on
-   a multi-core host.  The fleet alternates timed off/site passes
+   a multi-core host.  The fleet alternates timed inline/process passes
    (gc disabled, median statistic, the ``bench_sim.py`` protocol) and
    the full-mode gate requires ``SPEEDUP_GATE`` on the 4-site
    continuity-style fleet.  A conservative-window federation cannot
@@ -23,9 +20,8 @@ Two claims are checked, in this order of importance:
    waiver (the ``host`` provenance block shows why) and CI -- which
    has the cores -- enforces the floor.
 
-The full report (fleet timings, the fluid sharded profile standing in
-for the million-UE configuration, preset identity digests) feeds the
-``shard`` section of ``BENCH_scale.json``.
+The full report (fleet timings plus the fluid sharded profile
+standing in for the million-UE configuration) is ``BENCH_shard.json``.
 
 Usage::
 
@@ -49,9 +45,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.exp import workloads                                  # noqa: E402
-from repro.exp.presets import PRESETS, preset                    # noqa: E402
 from repro.exp.spec import TrialSpec                             # noqa: E402
-from repro.sim.shard import canonical_digest, run_isolated       # noqa: E402
+from repro.sim.shard import BACKENDS, canonical_digest           # noqa: E402
 
 #: Full-mode acceptance gate: sharded speedup on the 4-site fleet,
 #: enforced when the host has >= 4 CPUs.
@@ -61,7 +56,7 @@ SPEEDUP_GATE = 2.5
 #: clearly beat process overheads.
 SMOKE_SPEEDUP_GATE = 1.15
 
-#: The 4-site continuity-style fleet of the BENCH_scale gate: per-site
+#: The 4-site continuity-style fleet of the full-mode gate: per-site
 #: attach storm + CI ping trains + periodic cross-site context sync,
 #: sized so one pass is seconds of single-core work.
 FLEET_PARAMS = dict(n_sites=4, n_ues=12, wan_delay=0.05,
@@ -95,40 +90,42 @@ def host_provenance() -> dict:
     }
 
 
-def fleet_trial(sharding: str, params: dict) -> TrialSpec:
+def fleet_trial(backend: str, params: dict) -> TrialSpec:
     return TrialSpec(experiment="bench_shard", index=0,
                      workload="shard_fabric", base_seed=0, seed=1234,
-                     params=(("sharding", sharding),)
+                     params=(("backend", backend),)
                      + tuple(sorted(params.items())))
 
 
 def bench_fleet(name: str, params: dict, repeats: int) -> dict:
-    """Alternating off/site passes over one fleet; identity is fatal."""
+    """Alternating inline/process passes over one fleet; identity is
+    fatal."""
     fn = workloads.get("shard_fabric")
-    reference = fn(fleet_trial("off", params))
+    reference = fn(fleet_trial("inline", params))
     ref_digest = canonical_digest(reference)
 
-    times: dict[str, list[float]] = {"off": [], "site": []}
+    times: dict[str, list[float]] = {backend: [] for backend in BACKENDS}
     gc.collect()
     gc.disable()
     try:
         for _ in range(repeats):
-            for sharding in ("off", "site"):
+            for backend in BACKENDS:
                 start = time.perf_counter()
-                result = fn(fleet_trial(sharding, params))
-                times[sharding].append(time.perf_counter() - start)
+                result = fn(fleet_trial(backend, params))
+                times[backend].append(time.perf_counter() - start)
                 if canonical_digest(result) != ref_digest:
                     raise SystemExit(
-                        f"FATAL: {name} sharding={sharding} result "
+                        f"FATAL: {name} backend={backend} result "
                         f"differs from the single-process run")
             gc.collect()
     finally:
         gc.enable()
     median = {s: statistics.median(runs) for s, runs in times.items()}
-    speedup = median["off"] / median["site"]
+    speedup = median["inline"] / median["process"]
     events = reference["events_run"]
     print(f"{name:14s} {params['n_sites']} sites  {events:>9d} events  "
-          f"off {median['off']:.2f}s  site {median['site']:.2f}s  "
+          f"inline {median['inline']:.2f}s  "
+          f"process {median['process']:.2f}s  "
           f"speedup {speedup:.2f}x  digest {ref_digest[:12]}")
     return {
         "params": params,
@@ -141,41 +138,12 @@ def bench_fleet(name: str, params: dict, repeats: int) -> dict:
     }
 
 
-def preset_identity(names: tuple[str, ...]) -> dict:
-    """Per-trial metrics digests: in-process vs the isolated shard path.
-
-    Digests the workload *output* dicts, not the whole experiment
-    JSON, so the comparison is about simulated behaviour, not
-    provenance wrapping.
-    """
-    identity = {}
-    for name in names:
-        spec = preset(name)
-        digests = []
-        for trial in spec.trials():
-            fn = workloads.get(trial.workload)
-            direct = canonical_digest(fn(trial))
-            isolated = canonical_digest(run_isolated(fn, trial))
-            if direct != isolated:
-                raise SystemExit(
-                    f"FATAL: preset {name} trial {trial.index} differs "
-                    f"between in-process and isolated execution")
-            digests.append(direct)
-        combined = canonical_digest(digests)
-        identity[name] = {"trials": len(digests), "sha256": combined,
-                          "identical": True}
-        print(f"preset {name:14s} {len(digests):>3d} trials  "
-              f"isolated execution identical  {combined[:12]}")
-    return identity
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed alternating passes per backend")
     parser.add_argument("--smoke", action="store_true",
-                        help="2-site fleet, smoke preset, modest "
-                             "speedup floor (CI)")
+                        help="2-site fleet, modest speedup floor (CI)")
     parser.add_argument("--out", type=Path,
                         default=REPO_ROOT / "BENCH_shard.json")
     args = parser.parse_args(argv)
@@ -193,11 +161,9 @@ def main(argv=None) -> int:
 
     if args.smoke:
         fleets = [("smoke_fleet", SMOKE_FLEET_PARAMS, SMOKE_SPEEDUP_GATE)]
-        presets = ("smoke",)
     else:
         fleets = [("continuity_4site", FLEET_PARAMS, SPEEDUP_GATE),
                   ("fluid_4site", FLUID_FLEET_PARAMS, None)]
-        presets = tuple(sorted(PRESETS))
 
     failures = []
     for name, params, gate in fleets:
@@ -221,8 +187,6 @@ def main(argv=None) -> int:
                 f"on >= {shards}-CPU hosts (CI)")
             print(f"  (speedup floor waived: {entry['waiver']})")
         report["fleets"][name] = entry
-
-    report["preset_identity"] = preset_identity(presets)
 
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -64,14 +64,16 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.config import (NetworkConfig, ResilienceConfig,  # noqa: E402
                                SimConfig)
+from repro.exp.presets import PRESETS, preset                    # noqa: E402
 from repro.sim.engine import Simulator                           # noqa: E402
 from repro.sim.link import Link                                  # noqa: E402
 from repro.sim.node import Node                                  # noqa: E402
 from repro.sim.packet import Packet                              # noqa: E402
 from repro.sim.traffic import CBRSource                          # noqa: E402
 
-#: Presets whose canonical JSON must be byte-identical across schedulers.
-IDENTITY_PRESETS = ("smoke", "fig3g", "fig10b", "bearer-setup", "chaos")
+#: Presets whose canonical JSON must be byte-identical across
+#: schedulers: every shipped one, so each has a committed digest.
+IDENTITY_PRESETS = tuple(sorted(PRESETS))
 SMOKE_IDENTITY_PRESETS = ("smoke",)
 
 #: Acceptance gate: fast-scheduler speedup on the packet flood.
@@ -282,7 +284,6 @@ def host_provenance() -> dict:
 
 def preset_digest(name: str, scheduler: str) -> str:
     """SHA-256 of a preset's canonical JSON under one scheduler."""
-    from repro.exp.presets import preset
     from repro.exp.runner import ExperimentRunner
 
     os.environ["REPRO_SIM_SCHEDULER"] = scheduler
