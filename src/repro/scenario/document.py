@@ -7,9 +7,10 @@ A :class:`Scenario` wraps a schema-validated document
   ``network`` overlay deserialises through the strict
   :meth:`~repro.core.config.NetworkConfig.from_dict`, every entry of
   ``faults`` through :meth:`~repro.faults.plan.FaultSpec.from_dict`,
-  the generic workload's sweep axes against
-  :data:`~repro.scenario.runtime.OVERRIDES` -- re-raising their errors
-  with document-level paths;
+  the workload name against the registry, the generic workload's
+  sweep axes against :data:`~repro.scenario.runtime.OVERRIDES` and
+  every override value applied to the document -- re-raising their
+  errors with document-level paths;
 * compute a stable content :meth:`digest` (sha256 of the canonical
   JSON form) embedded into run provenance so results are auditable
   back to the exact document that produced them;
@@ -75,28 +76,13 @@ class Scenario:
         """Validate ``data`` against the schema plus the cross-checks
         and wrap it.  Raises :class:`ScenarioValidationError` /
         :class:`ScenarioError` with path-qualified messages."""
-        validate(data)
+        _check_document(data)
         meta = data["scenario"]
 
-        network = data.get("network")
-        if network is not None:
-            try:
-                NetworkConfig.from_dict(network, path="network")
-            except ConfigError as exc:
-                raise ScenarioValidationError(exc.path,
-                                              str(exc).split(": ", 1)[-1]
-                                              ) from None
-        faults = data.get("faults")
-        if faults is not None:
-            try:
-                FaultPlan.from_dict(list(faults), path="faults")
-            except FaultSpecError as exc:
-                raise ScenarioValidationError(exc.path,
-                                              str(exc).split(": ", 1)[-1]
-                                              ) from None
-
         workload = data["experiment"].get("workload", GENERIC_WORKLOAD)
-        if workload != GENERIC_WORKLOAD:
+        _check_workload(workload)
+        generic = workload == GENERIC_WORKLOAD
+        if not generic:
             carried = [s for s in INTERPRETED_SECTIONS if s in data]
             if carried:
                 raise ScenarioValidationError(
@@ -104,8 +90,9 @@ class Scenario:
                     f"section(s) {carried} are only interpreted by the "
                     f"{GENERIC_WORKLOAD!r} workload, not {workload!r}")
 
-        sweep = data["experiment"].get("sweep", {})
-        _check_sweep(sweep, workload == GENERIC_WORKLOAD)
+        axes = _check_sweep(data["experiment"].get("sweep", {}), generic)
+        if generic:
+            _check_overrides(data, axes)
 
         return cls(name=meta["name"], version=int(meta["version"]),
                    description=meta["description"],
@@ -162,9 +149,44 @@ class Scenario:
             params=params)
 
 
-def _check_sweep(sweep: Any, generic: bool) -> None:
+def _check_document(data: Mapping[str, Any]) -> None:
+    """Schema-validate ``data``, then deserialise its ``network`` and
+    ``faults`` sections, re-raising their errors at document paths."""
+    validate(data)
+    network = data.get("network")
+    if network is not None:
+        try:
+            NetworkConfig.from_dict(network, path="network")
+        except ConfigError as exc:
+            raise ScenarioValidationError(exc.path,
+                                          str(exc).split(": ", 1)[-1]
+                                          ) from None
+    faults = data.get("faults")
+    if faults is not None:
+        try:
+            FaultPlan.from_dict(list(faults), path="faults")
+        except FaultSpecError as exc:
+            raise ScenarioValidationError(exc.path,
+                                          str(exc).split(": ", 1)[-1]
+                                          ) from None
+
+
+def _check_workload(workload: str) -> None:
+    from repro.exp.workloads import WORKLOADS
+
+    if workload not in WORKLOADS:
+        raise ScenarioValidationError(
+            "experiment.workload",
+            f"unknown workload {workload!r}; known workloads: "
+            f"{sorted(WORKLOADS)}")
+
+
+def _check_sweep(sweep: Any, generic: bool
+                 ) -> list[tuple[str, str, Any]]:
+    """Check the sweep's shape; return its ``(path, axis, values)``."""
     from repro.scenario.runtime import OVERRIDES
 
+    axes = []
     pairs = sweep.items() if isinstance(sweep, Mapping) else sweep
     for i, pair in enumerate(pairs):
         if isinstance(sweep, Mapping):
@@ -188,6 +210,33 @@ def _check_sweep(sweep: Any, generic: bool) -> None:
             raise ScenarioValidationError(
                 path, f"unknown axis {axis!r}; the {GENERIC_WORKLOAD!r} "
                       f"workload sweeps only {sorted(OVERRIDES)}")
+        axes.append((path, axis, values))
+    return axes
+
+
+def _check_overrides(data: Mapping[str, Any],
+                     axes: list[tuple[str, str, Any]]) -> None:
+    """Fold each ``experiment.params`` entry and sweep value into a
+    copy of the document the way a trial will, and validate the copy,
+    so a bad value fails at load instead of inside its trial."""
+    from repro.scenario.runtime import _apply_overrides
+
+    params = data["experiment"].get("params", {})
+    candidates = [(f"experiment.params.{key}", key, value)
+                  for key, value in params.items()]
+    candidates += [(path, axis, value)
+                   for path, axis, values in axes for value in values]
+    for path, key, value in candidates:
+        trial = {s: data[s] for s in INTERPRETED_SECTIONS if s in data}
+        trial[key] = value
+        try:
+            sections = _apply_overrides(trial)
+            _check_document({**data, **{name: section for name, section
+                                        in sections.items()
+                                        if section is not None}})
+        except (ValueError, TypeError) as exc:
+            raise ScenarioValidationError(
+                path, f"value {value!r} is invalid: {exc}") from None
 
 
 def _freeze_sweep_document(sweep: Any) -> tuple:

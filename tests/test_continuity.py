@@ -392,3 +392,23 @@ class TestContinuityEndToEnd:
                           base_seed=5, seed=5,
                           params=(("n_ues", 2), ("tail", 2.0)))
         assert get("continuity")(trial) == get("continuity")(trial)
+
+
+# -- precomputed WAN routing table -----------------------------------------
+
+def test_wan_links_table_matches_named_links():
+    from repro.baselines.deployments import build_edge_fabric
+    network = build_edge_fabric(n_sites=3, enbs_per_site=1, seed=0).network
+    sites = sorted(network.edge_sites)
+    assert len(network.wan_links) == len(sites) * (len(sites) - 1)
+    for a in sites:
+        for b in sites:
+            if a == b:
+                assert (a, b) not in network.wan_links
+                continue
+            link = network.wan_links[(a, b)]
+            assert link is network.wan_links[(b, a)]
+            assert link is network.links[wan_link_name(a, b)]
+    future = network.context_transfer_async("edge0", "edge2", 100_000)
+    network.sim.run()
+    assert future.done and future.value == 100_000

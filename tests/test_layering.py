@@ -248,77 +248,6 @@ def test_no_scheduler_internals_outside_sim():
         f"Simulator API instead: {violations}")
 
 
-#: Sharded-execution internals: the window-protocol backends, the
-#: per-shard worker loop and the coordinator's pending-envelope state
-#: are private to ``repro.sim.shard``.  Higher layers pick a backend
-#: through the ``shard_fabric`` workload's ``backend`` param or
-#: assemble fleets through the public surface
-#: (``ShardSpec``/``Conduit``/``ShardedSimulator``).
-SHARD_INTERNALS = {"_InlineShard", "_ProcessShard", "_shard_worker",
-                   "_advance", "_inject", "_drive", "_mp_context",
-                   "_envelope_key"}
-
-#: The only module outside ``repro.sim`` that may import
-#: ``repro.sim.shard``: the workload registry (fleet assembly for
-#: ``shard_fabric``).  ``baselines`` ships the per-site shard app but
-#: stays decoupled through the duck-typed port.
-SHARD_WIRING_FILES = {"exp/workloads.py"}
-
-
-def test_shard_importable_only_from_sanctioned_layers():
-    violations = []
-    for path in SRC.rglob("*.py"):
-        rel = path.relative_to(SRC).as_posix()
-        if (SRC / "sim") in path.parents or rel in SHARD_WIRING_FILES:
-            continue
-        for imported in module_scope_imports(path):
-            if imported == "repro.sim.shard":
-                violations.append(f"{rel}: imports {imported}")
-    # lazy in-function imports count too for this gate: grep the AST
-    # for any ImportFrom of the module anywhere in the file
-    for path in SRC.rglob("*.py"):
-        rel = path.relative_to(SRC).as_posix()
-        if (SRC / "sim") in path.parents or rel in SHARD_WIRING_FILES:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.ImportFrom)
-                    and node.module == "repro.sim.shard") or (
-                    isinstance(node, ast.Import)
-                    and any(a.name == "repro.sim.shard"
-                            for a in node.names)):
-                violations.append(f"{rel}:{node.lineno}: "
-                                  "imports repro.sim.shard")
-    assert sorted(set(violations)) == [], (
-        "repro.sim.shard imported outside its sanctioned layers; "
-        "run fleets through the shard_fabric workload "
-        f"instead: {sorted(set(violations))}")
-
-
-def test_no_shard_internals_outside_sim():
-    """Nothing outside ``repro.sim`` touches shard-protocol internals.
-    ``self.<name>`` is allowed as in the gates above."""
-    violations = []
-    for path in SRC.rglob("*.py"):
-        rel = path.relative_to(SRC).as_posix()
-        if (SRC / "sim") in path.parents:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in SHARD_INTERNALS
-                    and not (isinstance(node.value, ast.Name)
-                             and node.value.id == "self")):
-                violations.append(f"{rel}:{node.lineno}: "
-                                  f"touches .{node.attr}")
-            elif (isinstance(node, ast.Name)
-                    and node.id in SHARD_INTERNALS):
-                violations.append(f"{rel}:{node.lineno}: "
-                                  f"names {node.id}")
-    assert violations == [], (
-        "shard-protocol internals leaked outside repro.sim; use the "
-        "ShardedSimulator/ShardSpec/Conduit public surface instead: "
-        f"{violations}")
-
-
 #: The one sanctioned entry point that turns a raw scenario-document
 #: dict into a built deployment.  Only the scenario layer (which
 #: validates documents first) and the baselines package itself (whose

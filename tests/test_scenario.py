@@ -140,6 +140,33 @@ def test_sharding_is_neither_a_sim_key_nor_a_sweep_axis():
     assert excinfo.value.path == "experiment.sweep.sharding"
 
 
+@pytest.mark.parametrize("axis,value", [
+    ("n_ues", -1), ("duration", -1.0), ("speed", 0.0), ("sites", 0),
+    ("data_plane", "bogus")])
+@pytest.mark.parametrize("where", ["sweep", "params"])
+def test_override_values_are_validated_at_load(axis, value, where):
+    doc = json.loads((CATALOGUE_DIR / "dual_site_relocation.json")
+                     .read_text())
+    if where == "sweep":
+        doc["experiment"]["sweep"] = {axis: [value]}
+    else:
+        doc["experiment"]["params"] = {axis: value}
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        Scenario.from_dict(doc)
+    assert excinfo.value.path == f"experiment.{where}.{axis}"
+    assert repr(value) in str(excinfo.value)
+
+
+def test_unknown_workload_is_rejected_at_load():
+    doc = minimal()
+    doc["experiment"]["workload"] = "shard_fabric"
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        Scenario.from_dict(doc)
+    assert excinfo.value.path == "experiment.workload"
+    message = str(excinfo.value)
+    assert "'shard_fabric'" in message and "'continuity'" in message
+
+
 def test_digest_is_stable_and_order_insensitive():
     a = Scenario.from_dict(minimal(topology={"sites": 2,
                                              "enbs_per_site": 1}))
