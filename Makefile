@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-matcher bench-resilience bench-sim bench-sim-smoke bench-sim-quick bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
+.PHONY: test lint bench bench-matcher bench-resilience bench-sim bench-sim-smoke bench-scale bench-scale-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -36,20 +36,11 @@ bench-sim:   ## scheduler comparison (fast vs reference) -> BENCH_sim.json
 bench-sim-smoke:   ## quick drift + determinism gate, no committed output
 	$(PYTHON) tools/bench_sim.py --smoke --out /tmp/BENCH_sim_smoke.json
 
-bench-sim-quick:   ## 1-repeat reduced flood for local iteration, no committed output
-	$(PYTHON) tools/bench_sim.py --quick --out /tmp/BENCH_sim_quick.json
-
 bench-scale:   ## fluid vs packet data plane + 100k-UE scenario -> BENCH_scale.json
 	$(PYTHON) tools/bench_scale.py
 
 bench-scale-smoke:   ## quick fluid-plane gates, no committed output
 	$(PYTHON) tools/bench_scale.py --smoke --out /tmp/BENCH_scale_smoke.json
-
-bench-continuity:   ## relocation policies across the edge fabric -> BENCH_continuity.json
-	$(PYTHON) tools/bench_continuity.py
-
-bench-continuity-smoke:   ## quick continuity + determinism gates, no committed output
-	$(PYTHON) tools/bench_continuity.py --smoke --out /tmp/BENCH_continuity_smoke.json
 
 quick:   ## tests + the sub-second benchmarks only
 	$(PYTHON) -m pytest tests/ -q

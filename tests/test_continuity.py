@@ -338,6 +338,21 @@ class TestRelocationPolicies:
 
 # -- end to end ------------------------------------------------------------
 
+POLICIES = ("make-before-break", "break-before-make")
+
+
+@pytest.fixture(scope="module")
+def continuity_runs():
+    """The ``continuity`` workload under each policy, on one seed."""
+    from repro.exp.spec import TrialSpec
+    from repro.exp.workloads import get
+
+    return {policy: get("continuity")(TrialSpec(
+        experiment="t", index=0, workload="continuity", base_seed=5, seed=5,
+        params=(("n_ues", 3), ("policy", policy), ("tail", 3.0))))
+        for policy in POLICIES}
+
+
 class TestContinuityEndToEnd:
     def test_ue_sweeps_three_sites_session_alive(self):
         """A walker crossing all three sites keeps its CI session:
@@ -370,19 +385,27 @@ class TestContinuityEndToEnd:
         pinger.close()
         assert len(pinger.rtts) == 5
 
-    def test_continuity_workload_runs_and_reports(self):
-        from repro.exp.spec import TrialSpec
-        from repro.exp.workloads import get
-
-        trial = TrialSpec(experiment="t", index=0, workload="continuity",
-                          base_seed=5, seed=5,
-                          params=(("n_ues", 3), ("tail", 3.0)))
-        out = get("continuity")(trial)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_continuity_workload_runs_and_reports(self, policy,
+                                                  continuity_runs):
+        out = continuity_runs[policy]
+        assert out["policy"] == policy
         assert out["attached"] == 3
         assert out["sessions_alive"] == 3
         assert out["sessions_on_last_site"] == 3
         assert out["relocations_completed"] == 6     # 2 boundaries x 3 UEs
         assert out["interruption_ms"]["mean"] > 0.0
+        offered = out["pings_answered"] + out["pings_lost"]
+        assert offered > 0
+        assert out["pings_answered"] >= 0.99 * offered
+
+    def test_mbb_interrupts_less_than_bbm_at_workload_level(
+            self, continuity_runs):
+        """Pre-copying the bulk of the context before the switch beats
+        moving all of it during the outage, over a whole population."""
+        mbb = continuity_runs["make-before-break"]["interruption_ms"]
+        bbm = continuity_runs["break-before-make"]["interruption_ms"]
+        assert mbb["mean"] < bbm["mean"]
 
     def test_workload_is_deterministic(self):
         from repro.exp.spec import TrialSpec

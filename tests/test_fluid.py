@@ -104,8 +104,9 @@ def test_fig10b_acacia_isolated_from_fluid_background():
 
 
 def test_fig3g_event_count_reduction():
-    """The tentpole target: >= 20x fewer events on a background-heavy
-    cell (the committed BENCH_scale.json gates the full sweep)."""
+    """>= 20x fewer events on one background-heavy cell;
+    ``tools/bench_scale.py`` applies the same gate to every point of the
+    fig3g sweep and records it in BENCH_scale.json."""
     def events(data_plane):
         from repro.core.config import NetworkConfig, SimConfig
         config = NetworkConfig(seed=17,

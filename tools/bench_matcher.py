@@ -7,14 +7,18 @@ both engines and reports per-frame wall-clock times plus the speedup of
 the batched engine, asserting byte-identical match decisions along the
 way.  Results land in ``BENCH_matcher.json`` at the repository root.
 
-Protocol: engines alternate over ``--repeats`` timed passes (so CPU
-frequency drift hits both alike) and the reported time is the median
-pass.  The batched engine is timed in its two serving shapes:
+Protocol: ``tools/benchkit.py`` -- one untimed pass per variant, then
+``--repeats`` rounds of alternating timed passes with the cyclic
+garbage collector off; the reported time is the median pass.  Every
+pass of every variant must return the reference engine's decisions.
+The batched engine is timed in three serving shapes:
 
-* ``batch_single``  -- ``match_frame`` per frame (cold cache on the
-  first frame, warm after);
-* ``batch_block``   -- ``match_frames`` per checkpoint (the workload's
-  natural shape: 5 frames per checkpoint share one screening GEMM).
+* ``batch_cold``    -- ``match_frame`` per frame on a fresh candidate
+  cache, so each pass pays for building the candidate matrix;
+* ``batch_single``  -- ``match_frame`` per frame on a warm cache;
+* ``batch_block``   -- ``match_frames`` per checkpoint on a warm cache
+  (the workload's natural shape: 5 frames per checkpoint share one
+  screening GEMM).
 
 Usage::
 
@@ -23,29 +27,21 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import statistics
-import sys
-import time
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-import numpy as np                                          # noqa: E402
-
-from repro.apps.retail import build_retail_database         # noqa: E402
-from repro.apps.scenario import store_scenario              # noqa: E402
-from repro.apps.workload import CheckpointWorkload          # noqa: E402
-from repro.vision.batch import (BatchObjectMatcher,         # noqa: E402
-                                CandidateMatrixCache)
-from repro.vision.camera import R960x720                    # noqa: E402
-from repro.vision.matcher import ObjectMatcher              # noqa: E402
+import benchkit
+import numpy as np
+from repro.apps.retail import build_retail_database
+from repro.apps.scenario import store_scenario
+from repro.apps.workload import CheckpointWorkload
+from repro.vision.batch import BatchObjectMatcher, CandidateMatrixCache
+from repro.vision.camera import R960x720
+from repro.vision.matcher import ObjectMatcher
 
 SEED = 99
 N_FEATURES = 60
 WORKLOAD_SEED = 7
+
+#: Acceptance gate: batched block speedup over the reference engine.
+BLOCK_GATE = 5.0
 
 
 def decision_tuple(outcome):
@@ -66,44 +62,37 @@ def build_workload():
     return models, blocks
 
 
-def run_reference(models, blocks):
-    matcher = ObjectMatcher(rng=np.random.default_rng(SEED))
-    start = time.perf_counter()
-    decisions = [decision_tuple(matcher.match_frame(frame, models))
-                 for block in blocks for frame in block]
-    return time.perf_counter() - start, decisions
+def per_frame(matcher, models, blocks):
+    return [decision_tuple(matcher.match_frame(frame, models))
+            for block in blocks for frame in block]
 
 
-def run_batch_single(models, blocks, cache=None):
-    matcher = BatchObjectMatcher(rng=np.random.default_rng(SEED),
-                                 cache=cache)
-    start = time.perf_counter()
-    decisions = [decision_tuple(matcher.match_frame(frame, models))
-                 for block in blocks for frame in block]
-    return time.perf_counter() - start, decisions, matcher.cache
+def per_block(matcher, models, blocks):
+    return [decision_tuple(outcome) for block in blocks
+            for outcome in matcher.match_frames(block, models)]
 
 
-def run_batch_block(models, blocks, cache=None):
-    matcher = BatchObjectMatcher(rng=np.random.default_rng(SEED),
-                                 cache=cache)
-    start = time.perf_counter()
-    decisions = []
-    for block in blocks:
-        decisions.extend(decision_tuple(outcome) for outcome in
-                         matcher.match_frames(block, models))
-    return time.perf_counter() - start, decisions, matcher.cache
+def variants(models, blocks, warm_cache):
+    """Each variant builds its matcher on the shared seed and returns
+    the decisions for every frame of the workload."""
+    def rng():
+        return np.random.default_rng(SEED)
+    return {
+        "reference": lambda: per_frame(ObjectMatcher(rng=rng()),
+                                       models, blocks),
+        "batch_cold": lambda: per_frame(
+            BatchObjectMatcher(rng=rng(), cache=CandidateMatrixCache()),
+            models, blocks),
+        "batch_single": lambda: per_frame(
+            BatchObjectMatcher(rng=rng(), cache=warm_cache), models, blocks),
+        "batch_block": lambda: per_block(
+            BatchObjectMatcher(rng=rng(), cache=warm_cache), models, blocks),
+    }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timed alternating passes per engine")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_matcher.json")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-
+    args = benchkit.parse_args(__doc__, "BENCH_matcher.json", repeats=5,
+                               argv=argv)
     models, blocks = build_workload()
     n_frames = sum(len(block) for block in blocks)
     total_descriptors = sum(m.descriptors.shape[0] for m in models)
@@ -111,52 +100,31 @@ def main(argv=None) -> int:
           f"= {n_frames} frames at 960x720, {len(models)} objects "
           f"({total_descriptors} descriptors)")
 
-    # warm-up pass per engine (also the decision-equivalence check)
-    _, ref_decisions = run_reference(models, blocks)
-    _, single_decisions, warm_cache = run_batch_single(models, blocks)
-    _, block_decisions, _ = run_batch_block(models, blocks,
-                                            cache=warm_cache)
-    if single_decisions != ref_decisions:
-        print("FATAL: batch match_frame decisions differ from reference")
-        return 1
-    if block_decisions != ref_decisions:
-        print("FATAL: batch match_frames decisions differ from reference")
-        return 1
-    print(f"decision equivalence: all {n_frames} frame decisions "
-          "byte-identical across engines")
+    warm_cache = CandidateMatrixCache()
+    outputs, times = benchkit.alternate(
+        variants(models, blocks, warm_cache), args.repeats)
+    failures = [f"{name} decisions differ from the reference engine"
+                for name, decisions in outputs.items()
+                if decisions != outputs["reference"]]
+    if not failures:
+        print(f"decision equivalence: all {n_frames} frame decisions "
+              "byte-identical across engines")
 
-    times = {"reference": [], "batch_single": [], "batch_block": []}
-    cold_time, _, _ = run_batch_single(models, blocks,
-                                       cache=CandidateMatrixCache())
-    for _ in range(args.repeats):
-        elapsed, decisions = run_reference(models, blocks)
-        assert decisions == ref_decisions
-        times["reference"].append(elapsed)
-        elapsed, decisions, _ = run_batch_single(models, blocks,
-                                                 cache=warm_cache)
-        assert decisions == ref_decisions
-        times["batch_single"].append(elapsed)
-        elapsed, decisions, _ = run_batch_block(models, blocks,
-                                                cache=warm_cache)
-        assert decisions == ref_decisions
-        times["batch_block"].append(elapsed)
-
-    median = {name: statistics.median(runs) for name, runs in times.items()}
-    per_frame = {name: value / n_frames * 1e3
-                 for name, value in median.items()}
-    speedup_single = median["reference"] / median["batch_single"]
-    speedup_block = median["reference"] / median["batch_block"]
-
-    print(f"reference:     {per_frame['reference']:8.3f} ms/frame")
-    print(f"batch single:  {per_frame['batch_single']:8.3f} ms/frame "
-          f"({speedup_single:.2f}x)")
-    print(f"batch block:   {per_frame['batch_block']:8.3f} ms/frame "
-          f"({speedup_block:.2f}x)")
-    print(f"batch cold-cache first pass: {cold_time / n_frames * 1e3:.3f} "
-          f"ms/frame")
+    median = benchkit.medians(times)
+    per_frame_ms = {name: value / n_frames * 1e3
+                    for name, value in median.items()}
+    speedup = {f"{name}_vs_reference": median["reference"] / value
+               for name, value in median.items() if name != "reference"}
+    for name, ms in per_frame_ms.items():
+        ratio = speedup.get(f"{name}_vs_reference", 1.0)
+        print(f"{name:13s} {ms:8.3f} ms/frame ({ratio:.2f}x)")
     print(f"cache stats: {warm_cache.stats()}")
 
-    report = {
+    block = speedup["batch_block_vs_reference"]
+    if block < BLOCK_GATE:
+        failures.append(f"block speedup {block:.2f}x < {BLOCK_GATE}x")
+    return benchkit.finish(args, {
+        "gates": {"batch_block_speedup_min": BLOCK_GATE},
         "workload": {
             "figure": "11a (naive scheme search space)",
             "checkpoints": len(blocks),
@@ -168,29 +136,13 @@ def main(argv=None) -> int:
             "workload_seed": WORKLOAD_SEED,
             "matcher_seed": SEED,
         },
-        "protocol": {
-            "repeats": args.repeats,
-            "statistic": "median of alternating passes",
-        },
         "times_s": times,
         "median_s": median,
-        "per_frame_ms": per_frame,
-        "cold_cache_pass_s": cold_time,
-        "speedup": {
-            "batch_single_vs_reference": speedup_single,
-            "batch_block_vs_reference": speedup_block,
-        },
-        "decisions_identical": True,
+        "per_frame_ms": per_frame_ms,
+        "speedup": speedup,
+        "decisions_identical": not failures,
         "cache": warm_cache.stats(),
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-
-    if speedup_block < 5.0:
-        print(f"WARNING: block speedup {speedup_block:.2f}x below the "
-              "5x acceptance target")
-        return 1
-    return 0
+    }, failures)
 
 
 if __name__ == "__main__":

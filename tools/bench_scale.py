@@ -8,10 +8,9 @@ Two gated measurements, reported to ``BENCH_scale.json``:
   pays one event chain per background packet; the fluid plane replaces
   the whole aggregate with a handful of rate re-solves, so the event
   count must collapse.  Gate: every sweep point's event-count
-  reduction is at least ``EVENTS_GATE`` (20x).  The foreground ping
-  RTTs from both planes ride along in the report so equivalence stays
-  inspectable (the tolerance itself is asserted by
-  ``tests/test_fluid.py``).
+  reduction is at least ``EVENTS_GATE`` (20x), and the planes agree:
+  every point answers the same number of pings under both, with median
+  RTTs within the 0.25-4x factor ``tests/test_fluid.py`` asserts.
 
 * ``scale_100k`` -- the headline scenario: a 100,000-UE population on
   one simulated EPC.  1,000 UEs attach individually (a concurrent
@@ -24,9 +23,9 @@ Two gated measurements, reported to ``BENCH_scale.json``:
   is >= 100,000, every attach succeeds, >= 99% of pings are answered,
   and the whole scenario fits ``WALL_BUDGET_S`` of wall clock.
 
-Protocol: the sweep alternates timed passes over the two planes with
-the cyclic garbage collector disabled (pyperf-style, as in
-``tools/bench_sim.py``); reported times are medians.  ``--smoke``
+Protocol: ``tools/benchkit.py`` -- one untimed pass per plane, then
+``--repeats`` rounds of alternating timed passes with the cyclic
+garbage collector off; reported times are medians.  ``--smoke``
 shrinks the ping-train shape (not the 100k population -- the headline
 gate is the point) for CI.
 
@@ -38,22 +37,19 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import statistics
-import sys
+import functools
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchkit
+import numpy as np
+from repro.core.config import NetworkConfig, SimConfig
+from repro.core.network import MobileNetwork, Pinger
+from repro.sdn.dataplane import ACACIA_OVS_PROFILE
 
-import numpy as np                                               # noqa: E402
+PLANES = ("packet", "fluid-bg")
 
-from repro.core.config import NetworkConfig, SimConfig           # noqa: E402
-from repro.core.network import MobileNetwork, Pinger             # noqa: E402
-from repro.sdn.dataplane import ACACIA_OVS_PROFILE               # noqa: E402
+#: The planes agree when fluid/packet median RTT is inside this factor.
+RTT_RATIO_BOUNDS = (0.25, 4.0)
 
 #: Acceptance gate: minimum event-count reduction at every sweep point.
 EVENTS_GATE = 20.0
@@ -115,37 +111,36 @@ def run_fig3g(bg_mbps: float, data_plane: str, shape: dict) -> dict:
 
 def run_sweep_point(bg_mbps: float, shape: dict, repeats: int) -> dict:
     """One fig3g load point, timed under both data planes."""
-    results = {}
-    times = {"packet": [], "fluid-bg": []}
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for plane in ("packet", "fluid-bg"):
-                start = time.perf_counter()
-                out = run_fig3g(bg_mbps, plane, shape)
-                times[plane].append(time.perf_counter() - start)
-                previous = results.setdefault(plane, out)
-                assert out == previous, \
-                    f"non-deterministic {plane} run at bg={bg_mbps}"
-            gc.collect()
-    finally:
-        gc.enable()
-    median = {plane: statistics.median(runs)
-              for plane, runs in times.items()}
-    packet, fluid = results["packet"], results["fluid-bg"]
+    runs, times = benchkit.alternate(
+        {plane: functools.partial(run_fig3g, bg_mbps, plane, shape)
+         for plane in PLANES}, repeats)
+    median = benchkit.medians(times)
     return {
         "bg_mbps": bg_mbps,
-        "events_run": {"packet": packet["events_run"],
-                       "fluid-bg": fluid["events_run"]},
-        "events_reduction": packet["events_run"] / fluid["events_run"],
+        "runs": runs,
+        "events_reduction": (runs["packet"]["events_run"]
+                             / runs["fluid-bg"]["events_run"]),
         "median_s": median,
         "wall_speedup": median["packet"] / median["fluid-bg"],
-        "median_rtt_ms": {"packet": packet["median_rtt_ms"],
-                          "fluid-bg": fluid["median_rtt_ms"]},
-        "answered": {"packet": packet["answered"],
-                     "fluid-bg": fluid["answered"]},
     }
+
+
+def sweep_failures(point: dict) -> list[str]:
+    """The planes must agree, and the fluid plane must cut events."""
+    bg, failures = point["bg_mbps"], []
+    packet, fluid = point["runs"]["packet"], point["runs"]["fluid-bg"]
+    if packet["answered"] != fluid["answered"]:
+        failures.append(f"fig3g bg={bg}: pings answered differ across "
+                        f"planes ({packet['answered']} vs {fluid['answered']})")
+    ratio = fluid["median_rtt_ms"] / packet["median_rtt_ms"]
+    low, high = RTT_RATIO_BOUNDS
+    if not low < ratio < high:
+        failures.append(f"fig3g bg={bg}: fluid/packet median RTT {ratio:.2f}x "
+                        f"not within {low}-{high}x")
+    if point["events_reduction"] < EVENTS_GATE:
+        failures.append(f"fig3g bg={bg}: events reduction "
+                        f"{point['events_reduction']:.1f}x < {EVENTS_GATE}x")
+    return failures
 
 
 def run_scale_100k(pings: int) -> dict:
@@ -210,69 +205,57 @@ def run_scale_100k(pings: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed alternating passes per sweep point")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrunken ping trains (CI); gates still apply")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_scale.json")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-
-    mode = "smoke" if args.smoke else "full"
-    shape = SWEEP_SHAPES[mode]
-    report = {"mode": mode,
-              "protocol": {"repeats": args.repeats,
-                           "statistic": "median of alternating passes",
-                           "gc": "disabled during timed passes"},
-              "gates": {"events_reduction_min": EVENTS_GATE,
-                        "wall_budget_s": WALL_BUDGET_S},
-              "fig3g_sweep": {"shape": shape, "points": []},
-              }
-
-    failures = []
-    for bg in SWEEP_BG_MBPS:
-        point = run_sweep_point(bg, shape, args.repeats)
-        report["fig3g_sweep"]["points"].append(point)
-        print(f"fig3g bg={bg:5.0f} Mbit/s  events "
-              f"{point['events_run']['packet']:>9d} -> "
-              f"{point['events_run']['fluid-bg']:>6d}  "
-              f"reduction {point['events_reduction']:8.0f}x  "
-              f"wall speedup {point['wall_speedup']:6.1f}x")
-        if point["events_reduction"] < EVENTS_GATE:
-            failures.append(
-                f"fig3g bg={bg}: events reduction "
-                f"{point['events_reduction']:.1f}x < {EVENTS_GATE}x")
-
-    scale = run_scale_100k(pings=SCALE["pings"][mode])
-    report["scale_100k"] = scale
+def scale_failures(scale: dict, pings: int) -> list[str]:
+    """Print the 100k summary and return its failed gates."""
+    rtt = scale["median_rtt_ms"]
     print(f"scale_100k {scale['population_ues']:,} UEs  "
           f"({scale['real_ues']} attached + {scale['aggregated_ues']:,} "
           f"aggregated)  {scale['ci_sessions']} CI sessions  "
-          f"median RTT {scale['median_rtt_ms']:.1f} ms  "
+          f"median RTT {'n/a' if rtt is None else f'{rtt:.1f} ms'}  "
           f"wall {scale['wall_s']:.1f}s")
+    failures = []
     if scale["population_ues"] < 100_000:
         failures.append(f"population {scale['population_ues']} < 100000")
     if scale["attached"] != scale["real_ues"]:
         failures.append(f"only {scale['attached']}/{scale['real_ues']} "
                         "UEs attached")
-    offered = scale["ci_sessions"] * SCALE["pings"][mode]
+    offered = scale["ci_sessions"] * pings
     if scale["pings_answered"] < 0.99 * offered:
         failures.append(f"pings answered {scale['pings_answered']} "
                         f"< 99% of {offered}")
     if scale["wall_s"] > WALL_BUDGET_S:
         failures.append(f"wall {scale['wall_s']:.1f}s > "
                         f"{WALL_BUDGET_S:.0f}s budget")
+    return failures
 
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
 
-    for failure in failures:
-        print(f"GATE FAILED: {failure}")
-    return 1 if failures else 0
+def main(argv=None) -> int:
+    args = benchkit.parse_args(
+        __doc__, "BENCH_scale.json", repeats=3, argv=argv,
+        smoke="shrunken ping trains (CI); gates still apply")
+    mode = "smoke" if args.smoke else "full"
+    shape = SWEEP_SHAPES[mode]
+    failures, points = [], []
+    for bg in SWEEP_BG_MBPS:
+        point = run_sweep_point(bg, shape, args.repeats)
+        points.append(point)
+        print(f"fig3g bg={bg:5.0f} Mbit/s  events "
+              f"{point['runs']['packet']['events_run']:>9d} -> "
+              f"{point['runs']['fluid-bg']['events_run']:>6d}  "
+              f"reduction {point['events_reduction']:8.0f}x  "
+              f"wall speedup {point['wall_speedup']:6.1f}x")
+        failures += sweep_failures(point)
+
+    pings = SCALE["pings"][mode]
+    scale = run_scale_100k(pings)
+    failures += scale_failures(scale, pings)
+    return benchkit.finish(args, {
+        "gates": {"events_reduction_min": EVENTS_GATE,
+                  "rtt_ratio_bounds": RTT_RATIO_BOUNDS,
+                  "wall_budget_s": WALL_BUDGET_S},
+        "fig3g_sweep": {"shape": shape, "points": points},
+        "scale_100k": scale,
+    }, failures)
 
 
 if __name__ == "__main__":

@@ -28,48 +28,40 @@ Workload profiles:
 * ``chaos_mix``        -- the storm under injected signalling loss with
   background CBR traffic: a mix of all event shapes.
 
-Protocol: schedulers alternate over ``--repeats`` timed passes (so CPU
-frequency drift hits both alike), the cyclic garbage collector is
-disabled during timed passes (pyperf-style; both schedulers hold large
-tombstone populations and GC pauses would add noise), and the reported
-rate is from the median-time pass.  ``--smoke`` shrinks every workload
-and skips the speedup gate: CI uses it to check determinism, not
-performance.  ``--quick`` sits in between -- one timed pass over a
-reduced flood, gate skipped -- for fast local iteration on scheduler
-changes.  Every report carries a ``host`` provenance block so
-cross-PR speedup comparisons are anchored to the hardware that
-produced them.
+Protocol: ``tools/benchkit.py`` -- one untimed pass per scheduler,
+then ``--repeats`` rounds of alternating timed passes with the cyclic
+garbage collector off (both schedulers hold large tombstone
+populations, and GC pauses would add noise); the reported rate is from
+the median time.  After timing, every shipped preset runs under both
+schedulers: each trial must succeed and the canonical JSON must be
+byte-identical.  ``--smoke`` shrinks every workload, checks only the
+``smoke`` preset and skips the speedup gate: CI uses it to check
+determinism, not performance.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_sim.py [--repeats N] [--smoke]
-                                             [--quick] [--out PATH]
+                                             [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
+import functools
 import hashlib
-import json
 import os
-import platform
-import statistics
-import sys
-import time
-from pathlib import Path
+from unittest import mock
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchkit
+from repro.core.config import NetworkConfig, ResilienceConfig, SimConfig
+from repro.exp.presets import PRESETS, preset
+from repro.sim.engine import Simulator
+from repro.sim.link import Link
+from repro.sim.node import Node
+from repro.sim.packet import Packet
+from repro.sim.traffic import CBRSource
 
-from repro.core.config import (NetworkConfig, ResilienceConfig,  # noqa: E402
-                               SimConfig)
-from repro.exp.presets import PRESETS, preset                    # noqa: E402
-from repro.sim.engine import Simulator                           # noqa: E402
-from repro.sim.link import Link                                  # noqa: E402
-from repro.sim.node import Node                                  # noqa: E402
-from repro.sim.packet import Packet                              # noqa: E402
-from repro.sim.traffic import CBRSource                          # noqa: E402
+SCHEDULERS = ("fast", "reference")
+SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
 
 #: Presets whose canonical JSON must be byte-identical across
 #: schedulers: every shipped one, so each has a committed digest.
@@ -261,151 +253,87 @@ SMOKE_SIZES = {
     "chaos_mix": dict(n_ues=8, tail=1.0),
 }
 
-#: ``--quick``: big enough for a meaningful local speedup reading,
-#: small enough to iterate on (single repeat, reduced flood).
-QUICK_SIZES = {
-    "packet_flood": dict(n_sources=200, duration=0.3),
-    "signalling_storm": dict(n_ues=40),
-    "chaos_mix": dict(n_ues=20, tail=2.0),
-}
 
-
-def host_provenance() -> dict:
-    """Where a benchmark number came from: the hardware anchor every
-    cross-PR speedup comparison needs."""
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def preset_digest(name: str, scheduler: str) -> str:
-    """SHA-256 of a preset's canonical JSON under one scheduler."""
+def preset_digest(name: str, scheduler: str) -> tuple[str, bool]:
+    """SHA-256 of a preset's canonical JSON under one scheduler, and
+    whether every trial succeeded.  The caller's scheduler setting is
+    restored afterwards."""
     from repro.exp.runner import ExperimentRunner
 
-    os.environ["REPRO_SIM_SCHEDULER"] = scheduler
-    try:
+    with mock.patch.dict(os.environ, {SCHEDULER_ENV: scheduler}):
         result = ExperimentRunner(preset(name)).run()
-    finally:
-        del os.environ["REPRO_SIM_SCHEDULER"]
-    return hashlib.sha256(result.canonical_json().encode()).hexdigest()
+    digest = hashlib.sha256(result.canonical_json().encode()).hexdigest()
+    return digest, result.ok
+
+
+def check_presets(names) -> tuple[dict, list[str]]:
+    """Run each preset under both schedulers.  The gate: every trial
+    succeeds and the canonical JSON is byte-identical -- a trial that
+    crashes the same way under both schedulers is not a pass."""
+    identity, failures = {}, []
+    for name in names:
+        fast, fast_ok = preset_digest(name, "fast")
+        ref, ref_ok = preset_digest(name, "reference")
+        identical, ok = fast == ref, fast_ok and ref_ok
+        identity[name] = {"sha256": fast, "identical": identical,
+                          "trials_ok": ok}
+        print(f"preset {name:14s} canonical JSON "
+              f"{'identical' if identical else 'DIFFERS'}"
+              f"{'' if ok else ', trials FAILED'}")
+        if not ok:
+            failures.append(f"preset {name}: a trial failed")
+        if not identical:
+            failures.append(f"preset {name}: canonical JSON differs "
+                            "across schedulers")
+    return identity, failures
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timed alternating passes per scheduler "
-                             "(default 5; 1 under --quick)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced sizes, no speedup gate (CI)")
-    parser.add_argument("--quick", action="store_true",
-                        help="one repeat over a reduced flood, no "
-                             "speedup gate (local iteration)")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_sim.json")
-    args = parser.parse_args(argv)
-    if args.smoke and args.quick:
-        parser.error("--smoke and --quick are mutually exclusive")
-    if args.repeats is None:
-        args.repeats = 1 if args.quick else 5
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-
-    if args.smoke:
-        mode, sizes = "smoke", SMOKE_SIZES
-    elif args.quick:
-        mode, sizes = "quick", QUICK_SIZES
-    else:
-        mode, sizes = "full", {name: {} for name in WORKLOADS}
-
-    report = {"mode": mode,
-              "host": host_provenance(),
-              "protocol": {"repeats": args.repeats,
-                           "statistic": "median of alternating passes",
-                           "gc": "disabled during timed passes"},
-              "workloads": {}}
-    speedups = {}
+    args = benchkit.parse_args(
+        __doc__, "BENCH_sim.json", repeats=5, argv=argv,
+        smoke="reduced sizes, smoke preset only, no speedup gate (CI)")
+    failures = []
+    workloads = {}
     for name, fn in WORKLOADS.items():
-        kwargs = sizes[name]
-        # behavioural-drift check: both schedulers must agree exactly
-        events, fast_digest = fn("fast", **kwargs)
-        _, ref_digest = fn("reference", **kwargs)
-        if fast_digest != ref_digest:
-            print(f"FATAL: {name} behaviour differs across schedulers")
-            print(f"  fast:      {fast_digest}")
-            print(f"  reference: {ref_digest}")
-            return 1
-
-        times = {"fast": [], "reference": []}
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(args.repeats):
-                for scheduler in ("fast", "reference"):
-                    start = time.perf_counter()
-                    got_events, digest = fn(scheduler, **kwargs)
-                    times[scheduler].append(time.perf_counter() - start)
-                    assert digest == ref_digest
-                gc.collect()
-        finally:
-            gc.enable()
-        median = {s: statistics.median(runs) for s, runs in times.items()}
+        kwargs = SMOKE_SIZES[name] if args.smoke else {}
+        outputs, times = benchkit.alternate(
+            {s: functools.partial(fn, s, **kwargs) for s in SCHEDULERS},
+            args.repeats)
+        if outputs["fast"] != outputs["reference"]:
+            failures.append(f"{name}: behaviour differs across "
+                            f"schedulers: {outputs}")
+            continue
+        events, digest = outputs["reference"]
+        median = benchkit.medians(times)
         rates = {s: events / median[s] for s in median}
-        speedups[name] = median["reference"] / median["fast"]
+        speedup = median["reference"] / median["fast"]
         print(f"{name:18s} {events:>9d} events  "
               f"fast {rates['fast']:>10.0f} ev/s  "
               f"reference {rates['reference']:>10.0f} ev/s  "
-              f"speedup {speedups[name]:.2f}x")
-        report["workloads"][name] = {
+              f"speedup {speedup:.2f}x")
+        workloads[name] = {
             "params": kwargs,
             "events_run": events,
-            "behaviour_digest": ref_digest,
+            "behaviour_digest": digest,
             "times_s": times,
             "median_s": median,
             "events_per_sec": rates,
-            "speedup": speedups[name],
+            "speedup": speedup,
         }
 
-    presets = (SMOKE_IDENTITY_PRESETS if args.smoke or args.quick
-               else IDENTITY_PRESETS)
-    identity = {}
-    for name in presets:
-        fast = preset_digest(name, "fast")
-        ref = preset_digest(name, "reference")
-        identity[name] = {"sha256": fast, "identical": fast == ref}
-        status = "identical" if fast == ref else "DIFFERS"
-        print(f"preset {name:14s} canonical JSON {status}")
-        if fast != ref:
-            print(f"FATAL: preset {name} canonical JSON differs "
-                  "across schedulers")
-            return 1
-    report["preset_identity"] = identity
+    identity, preset_failures = check_presets(
+        SMOKE_IDENTITY_PRESETS if args.smoke else IDENTITY_PRESETS)
+    failures += preset_failures
 
-    # profile of one small flood pass, for the record
-    sim = Simulator(scheduler="fast")
-    src = GuardedCBRSource(sim, "s", "d", rate=8e6, packet_size=1000,
-                           guard_timeout=0.08)
-    sink = AckingSink(sim, "d", src, idle_timeout=0.1)
-    link = Link(sim, "l", bandwidth=20e6, delay=0.002)
-    src.attach("out", link)
-    sink.attach("in", link)
-    src.start()
-    sim.run(until=2.0)
-    report["sample_profile"] = sim.profile()
-
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-
-    if not (args.smoke or args.quick) \
-            and speedups["packet_flood"] < FLOOD_GATE:
-        print(f"WARNING: packet_flood speedup "
-              f"{speedups['packet_flood']:.2f}x below the "
-              f"{FLOOD_GATE}x acceptance target")
-        return 1
-    return 0
+    flood = workloads.get("packet_flood", {}).get("speedup", 0.0)
+    if not args.smoke and flood < FLOOD_GATE:
+        failures.append(f"packet_flood speedup {flood:.2f}x < "
+                        f"{FLOOD_GATE}x")
+    return benchkit.finish(args, {
+        "gates": {"packet_flood_speedup_min": FLOOD_GATE},
+        "workloads": workloads,
+        "preset_identity": identity,
+    }, failures)
 
 
 if __name__ == "__main__":
