@@ -11,12 +11,12 @@ test:
 lint:   ## same gate as CI (needs ruff on PATH: pip install ruff)
 	ruff check src/ tests/ benchmarks/ tools/ examples/
 
-exp-smoke:   ## tiny 2-seed experiment spec end-to-end through the parallel runner
-	$(PYTHON) -m repro exp run smoke --workers 2
+exp-smoke:   ## tiny 2-seed smoke preset end-to-end through the parallel runner
+	$(PYTHON) -m repro scenario run smoke --workers 2
 
 scenario-validate:   ## validate the whole scenario catalogue, then run the CI smoke scenario
 	$(PYTHON) -m repro scenario validate
-	$(PYTHON) -m repro scenario run quick_test --serial --output /tmp/quick_test_result.json
+	$(PYTHON) -m repro scenario run quick_test --output /tmp/quick_test_result.json
 
 ops-soak-smoke:   ## compressed diurnal soak through the operator runtime: 0 dropped sessions, autoscaler active, byte-identical reruns
 	$(PYTHON) tools/ops_soak_smoke.py --duration 600

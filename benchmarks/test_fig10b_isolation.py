@@ -10,14 +10,16 @@ Paper shape: below saturation the MEC server's proximity dominates;
 at/over ~90-100 Mbps the two shared designs explode while ACACIA stays
 flat at its low baseline.
 
-The measurement itself is the declarative ``fig10b`` preset (see
-:mod:`repro.exp.presets`) driven through the experiment runner, so
-``python -m repro exp run fig10b`` regenerates exactly these numbers.
+The measurement itself is the ``fig10b`` preset from the scenario
+catalogue (``scenarios/fig10b.json``) driven through the experiment
+runner, so ``python -m repro scenario run fig10b`` regenerates exactly
+these numbers.
 """
 
 import pytest
 
-from repro.exp import ExperimentRunner, preset, run_trial
+from repro.exp import ExperimentRunner, run_trial
+from repro.scenario import load
 
 SYSTEM_LABELS = {"conventional": "Conventional EPC",
                  "mec-shared": "EPC with MEC",
@@ -26,7 +28,7 @@ BG_RATES_MBPS = [0, 40, 80, 100]
 
 
 def test_fig10b_isolation(report, benchmark):
-    spec = preset("fig10b")
+    spec = load("fig10b").compile()
     outcome = ExperimentRunner(spec).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("system", "bg_mbps")

@@ -6,12 +6,14 @@ shape: ACACIA (sub-section pruning) up to ~5x faster than Naive and
 ~2x faster than rxPower; the Xeon beats the i7; Naive and ACACIA match
 every frame while rxPower suffers a boundary false negative.
 
-The measurement itself is the declarative ``fig11a`` preset (see
-:mod:`repro.exp.presets`) driven through the experiment runner, so
-``python -m repro exp run fig11a`` regenerates exactly these numbers.
+The measurement itself is the ``fig11a`` preset from the scenario
+catalogue (``scenarios/fig11a.json``) driven through the experiment
+runner, so ``python -m repro scenario run fig11a`` regenerates exactly
+these numbers.
 """
 
-from repro.exp import ExperimentRunner, preset, run_trial
+from repro.exp import ExperimentRunner, run_trial
+from repro.scenario import load
 from repro.vision.camera import R720x480, R960x720, R1280x720
 
 SCHEMES = ["acacia", "rxpower", "naive"]
@@ -20,7 +22,7 @@ RESOLUTIONS = [R720x480, R960x720, R1280x720]
 
 
 def test_fig11a_search_space(report, benchmark):
-    spec = preset("fig11a")
+    spec = load("fig11a").compile()
     outcome = ExperimentRunner(spec).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("machine")

@@ -6,21 +6,23 @@ with controlled link delays giving ~70 / 18 / 8 ms baseline RTTs.
 Paper shape: latency is flat at the baseline until the shared gateways
 saturate (~90-100 Mbps), then explodes towards seconds.
 
-The measurement itself is the declarative ``fig3g`` preset (see
-:mod:`repro.exp.presets`) driven through the experiment runner, so
-``python -m repro exp run fig3g`` regenerates exactly these numbers.
+The measurement itself is the ``fig3g`` preset from the scenario
+catalogue (``scenarios/fig3g.json``) driven through the experiment
+runner, so ``python -m repro scenario run fig3g`` regenerates exactly
+these numbers.
 """
 
 import pytest
 
-from repro.exp import ExperimentRunner, preset, run_trial
+from repro.exp import ExperimentRunner, run_trial
+from repro.scenario import load
 
 RTT_LABELS = {70: "70 ms", 18: "18 ms", 8: "8 ms"}
 BG_RATES_MBPS = [0, 40, 80, 90, 100]
 
 
 def test_fig3g_background_traffic(report, benchmark):
-    spec = preset("fig3g")
+    spec = load("fig3g").compile()
     outcome = ExperimentRunner(spec).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("rtt_ms", "bg_mbps")

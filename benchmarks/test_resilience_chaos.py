@@ -1,6 +1,7 @@
 """Control-plane resilience under injected signalling loss.
 
-Runs the ``chaos`` preset: ``n_ues`` concurrent attaches plus one
+Runs the ``chaos`` preset from the scenario catalogue (``python -m
+repro scenario run chaos``): ``n_ues`` concurrent attaches plus one
 dedicated MEC bearer each, while a :class:`~repro.faults.plan.ChannelLoss`
 fault drops every signalling delivery with probability ``loss``.  The
 sweep crosses loss rate (0-10%) with retransmission on/off, so the
@@ -11,14 +12,14 @@ The whole experiment is deterministic: a rerun at the same seeds is
 byte-identical.
 """
 
-from repro.exp.presets import preset
 from repro.exp.runner import ExperimentRunner
+from repro.scenario import load
 
 LOSSES = (0.0, 0.02, 0.05, 0.10)
 
 
 def run_chaos():
-    result = ExperimentRunner(preset("chaos")).run()
+    result = ExperimentRunner(load("chaos").compile()).run()
     assert result.ok, result.failures()
     return result
 

@@ -18,16 +18,15 @@ Commands
     isolation).
 ``overhead``
     Print the Section 4 control-overhead analysis right here.
-``exp list | show <name> | run <name>``
-    Inspect and execute the declarative experiment presets through
-    the multi-seed :class:`repro.exp.ExperimentRunner` (optionally
-    across worker processes).
 ``scenario list | show <name> | validate [names...] | run <name>``
     The declarative scenario layer: browse the shipped ``scenarios/``
-    catalogue, validate documents against the published schema, and
-    compile-and-run them through the same experiment runner -- with
-    ``--jsonl`` per-trial output whose provenance embeds the scenario
-    digest.
+    catalogue (the paper's figure presets are the documents tagged
+    ``preset``), print a document with its per-trial seed table,
+    validate documents against the published schema, and
+    compile-and-run them through the multi-seed
+    :class:`repro.exp.ExperimentRunner` (optionally across worker
+    processes) -- with ``--jsonl`` per-trial output whose provenance
+    embeds the scenario digest.
 ``ops serve | run | status | attach | inject | tail | ...``
     The live operator service (:mod:`repro.ops`): ``serve`` runs a
     scenario as a paced asyncio service with a JSON-RPC control
@@ -176,73 +175,6 @@ def cmd_overhead(_: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_exp_list(_: argparse.Namespace) -> int:
-    from repro.exp import PRESETS
-    width = max(len(k) for k in PRESETS)
-    for name, spec in PRESETS.items():
-        axes = ", ".join(f"{axis}x{len(values)}"
-                         for axis, values in spec.sweep) or "-"
-        print(f"  {name:<{width}}  workload={spec.workload:<12} "
-              f"seeds={len(spec.seeds)}  sweep: {axes}  "
-              f"({len(spec.trials())} trials)")
-    print("\nrun one with: python -m repro exp run <name>")
-    return 0
-
-
-def cmd_exp_show(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.exp import preset
-    try:
-        spec = preset(args.name)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(json.dumps(spec.to_dict(), indent=2))
-    print(f"\nspec digest: {spec.digest()}")
-    try:
-        from repro.scenario import load
-        print(f"scenario digest: {load(args.name).digest()}")
-    except Exception:
-        pass        # not every spec needs a catalogue document
-    trials = spec.trials()
-    print(f"\n{len(trials)} trials (seeds derived from experiment name "
-          "x workload x base seed; sweep cells sharing a base seed are "
-          "paired):")
-    print(f"  {'idx':>3}  {'base_seed':>9}  {'derived seed':>20}  cell")
-    for trial in trials:
-        cell = {k: v for k, v in trial.param_dict.items()
-                if k not in dict(spec.params)}
-        print(f"  {trial.index:>3}  {trial.base_seed:>9}  "
-              f"{trial.seed:>20}  {cell}")
-    return 0
-
-
-def cmd_exp_run(args: argparse.Namespace) -> int:
-    from repro.exp import ExperimentRunner, preset
-    try:
-        spec = preset(args.name)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    workers = None if args.serial else args.workers
-    trials = len(spec.trials())
-    mode = "serial" if workers in (None, 1) else f"{workers} workers"
-    print(f"running {spec.name!r}: {trials} trials ({mode})",
-          file=sys.stderr)
-    result = ExperimentRunner(spec, workers=workers).run()
-    text = result.canonical_json()
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
-    for failure in result.failures():
-        print(f"trial {failure.trial.index} failed:\n{failure.error}",
-              file=sys.stderr)
-    return 0 if result.ok else 1
-
-
 def cmd_scenario_list(_: argparse.Namespace) -> int:
     from repro.scenario import CATALOGUE_DIR, catalogue, load
     entries = catalogue()
@@ -276,8 +208,17 @@ def cmd_scenario_show(args: argparse.Namespace) -> int:
     spec = scenario.compile()
     print(f"\nscenario digest: {scenario.digest()}")
     print(f"compiled spec digest: {spec.digest()}")
+    trials = spec.trials()
     print(f"compiles to: workload={spec.workload} "
-          f"seeds={len(spec.seeds)} trials={len(spec.trials())}")
+          f"seeds={len(spec.seeds)} trials={len(trials)}")
+    print("\nseeds are derived from experiment name x workload x base "
+          "seed; sweep cells sharing a base seed are paired:")
+    print(f"  {'idx':>3}  {'base_seed':>9}  {'derived seed':>20}  cell")
+    for trial in trials:
+        cell = {k: v for k, v in trial.param_dict.items()
+                if k not in dict(spec.params)}
+        print(f"  {trial.index:>3}  {trial.base_seed:>9}  "
+              f"{trial.seed:>20}  {cell}")
     return 0
 
 
@@ -314,12 +255,12 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         return 2
     spec = scenario.compile()
     digest = scenario.digest()
-    workers = None if args.serial else args.workers
-    mode = "serial" if workers in (None, 1) else f"{workers} workers"
+    mode = ("serial" if args.workers in (None, 1)
+            else f"{args.workers} workers")
     print(f"running scenario {scenario.name!r} "
           f"(digest {digest[:12]}): {len(spec.trials())} trials "
           f"({mode})", file=sys.stderr)
-    result = ExperimentRunner(spec, workers=workers).run()
+    result = ExperimentRunner(spec, workers=args.workers).run()
 
     if args.jsonl:
         lines = []
@@ -459,26 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the Sec 4 overhead analysis").set_defaults(
         func=cmd_overhead)
 
-    exp = sub.add_parser("exp",
-                         help="declarative multi-seed experiment runner")
-    exp_sub = exp.add_subparsers(dest="exp_command", required=True)
-    exp_sub.add_parser("list",
-                       help="list experiment presets").set_defaults(
-        func=cmd_exp_list)
-    show = exp_sub.add_parser("show", help="print a preset spec as JSON")
-    show.add_argument("name", help="preset name (e.g. fig10b)")
-    show.set_defaults(func=cmd_exp_show)
-    run_exp = exp_sub.add_parser(
-        "run", help="execute a preset and emit canonical JSON results")
-    run_exp.add_argument("name", help="preset name (e.g. smoke)")
-    run_exp.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: serial)")
-    run_exp.add_argument("--serial", action="store_true",
-                         help="force a serial in-process run")
-    run_exp.add_argument("--output", default=None,
-                         help="write results JSON to this file")
-    run_exp.set_defaults(func=cmd_exp_run)
-
     scenario = sub.add_parser(
         "scenario", help="declarative scenario documents and catalogue")
     scenario_sub = scenario.add_subparsers(dest="scenario_command",
@@ -487,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list the shipped scenario catalogue").set_defaults(
         func=cmd_scenario_list)
     show_sc = scenario_sub.add_parser(
-        "show", help="print a scenario document, digest and compiled "
-                     "spec summary")
+        "show", help="print a scenario document, digests and per-trial "
+                     "seed table")
     show_sc.add_argument("name", help="catalogue name or document path")
     show_sc.set_defaults(func=cmd_scenario_show)
     validate_sc = scenario_sub.add_parser(
@@ -506,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "embedded in each provenance")
     run_sc.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: serial)")
-    run_sc.add_argument("--serial", action="store_true",
-                        help="force a serial in-process run")
     run_sc.add_argument("--output", default=None,
                         help="write results to this file")
     run_sc.set_defaults(func=cmd_scenario_run)

@@ -5,11 +5,14 @@ An :class:`ExperimentSpec` names a workload (see
 axes to cross; :class:`ExperimentRunner` fans the resulting trials out
 over worker processes (or runs them serially -- the results are
 byte-identical either way) and collects structured JSON with per-trial
-provenance.  Preset specs for the paper's figures live in
-:mod:`repro.exp.presets`.
+provenance.  The paper's figure presets are scenario documents in the
+``scenarios/`` catalogue (tagged ``preset``); compile one with
+``repro.scenario.load(name).compile()``.  This package never imports
+:mod:`repro.scenario` at module scope: the scenario layer compiles
+*into* an :class:`ExperimentSpec`, so the dependency points
+scenario -> exp.
 """
 
-from repro.exp.presets import PRESETS, preset
 from repro.exp.runner import (ExperimentResult, ExperimentRunner,
                               TrialResult, run_trial)
 from repro.exp.spec import ExperimentSpec, TrialSpec
@@ -19,11 +22,9 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
     "ExperimentSpec",
-    "PRESETS",
     "TrialResult",
     "TrialSpec",
     "WORKLOADS",
-    "preset",
     "run_trial",
     "workload",
 ]

@@ -7,11 +7,11 @@ per-job service time is drawn from the site's own named RNG stream
 simulation's draws and two runs with the same seed serve identical
 latencies.
 
-Scaling follows the :class:`~repro.vision.pool.MatcherPool` lifecycle
-contract: growing takes effect immediately (idle capacity starts
-draining the queue in the same event), shrinking is graceful -- a
-retired worker finishes its in-flight job and simply is not refilled,
-the simulated analogue of ``MatcherPool.drain()`` before teardown.
+Scaling follows a drain-before-teardown rule: growing takes effect
+immediately (idle capacity starts draining the queue in the same
+event), shrinking is graceful -- a retired worker finishes its
+in-flight job and simply is not refilled, so no accepted job is ever
+cut off.
 """
 
 from __future__ import annotations

@@ -16,9 +16,13 @@ seeds.  The layer splits into:
   ``"scenario"`` workload.
 
 This package is the only one allowed to turn raw document dicts into
-deployments (see the layering gates in ``tests/test_layering.py``),
-and it must not import :mod:`repro.exp` at module scope -- presets
-are built *from* scenarios, so the dependency points the other way.
+deployments, and the catalogue is the only preset registry: the
+paper's figure presets are the documents tagged ``preset``, run with
+``load(name).compile()``.  The dependency points scenario -> exp
+(a document compiles into an :class:`~repro.exp.spec.ExperimentSpec`
+and names a registered workload); :mod:`repro.exp` imports this
+package only lazily, inside the generic ``"scenario"`` workload.  The
+layering gates in ``tests/test_layering.py`` hold the line.
 """
 
 from repro.scenario.document import (GENERIC_WORKLOAD,

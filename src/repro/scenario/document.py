@@ -35,15 +35,15 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, TYPE_CHECKING
+from typing import Any, Mapping
 
 from repro.core.config import ConfigError, NetworkConfig
+from repro.exp.spec import ExperimentSpec
+from repro.exp.workloads import WORKLOADS
 from repro.faults.plan import FaultPlan, FaultSpecError
+from repro.scenario.runtime import OVERRIDES, _apply_overrides
 from repro.scenario.schema import (ScenarioError, ScenarioValidationError,
                                    validate)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.exp.spec import ExperimentSpec
 
 #: Workload interpreting the document's world-building sections.
 GENERIC_WORKLOAD = "scenario"
@@ -124,7 +124,7 @@ class Scenario:
         return self.document["experiment"].get("workload",
                                                GENERIC_WORKLOAD)
 
-    def compile(self) -> "ExperimentSpec":
+    def compile(self) -> ExperimentSpec:
         """Compile into the :class:`~repro.exp.spec.ExperimentSpec`
         the runner executes.
 
@@ -132,8 +132,6 @@ class Scenario:
         as fixed params (sweep axes may still override the documented
         scalar shortcuts -- see :mod:`repro.scenario.runtime`).
         """
-        from repro.exp.spec import ExperimentSpec
-
         experiment = self.document["experiment"]
         params = dict(experiment.get("params", {}))
         if self.workload == GENERIC_WORKLOAD:
@@ -172,8 +170,6 @@ def _check_document(data: Mapping[str, Any]) -> None:
 
 
 def _check_workload(workload: str) -> None:
-    from repro.exp.workloads import WORKLOADS
-
     if workload not in WORKLOADS:
         raise ScenarioValidationError(
             "experiment.workload",
@@ -184,8 +180,6 @@ def _check_workload(workload: str) -> None:
 def _check_sweep(sweep: Any, generic: bool
                  ) -> list[tuple[str, str, Any]]:
     """Check the sweep's shape; return its ``(path, axis, values)``."""
-    from repro.scenario.runtime import OVERRIDES
-
     axes = []
     pairs = sweep.items() if isinstance(sweep, Mapping) else sweep
     for i, pair in enumerate(pairs):
@@ -219,8 +213,6 @@ def _check_overrides(data: Mapping[str, Any],
     """Fold each ``experiment.params`` entry and sweep value into a
     copy of the document the way a trial will, and validate the copy,
     so a bad value fails at load instead of inside its trial."""
-    from repro.scenario.runtime import _apply_overrides
-
     params = data["experiment"].get("params", {})
     candidates = [(f"experiment.params.{key}", key, value)
                   for key, value in params.items()]

@@ -34,12 +34,11 @@ second lets dedicated bearers establish); the sim then runs for
 from __future__ import annotations
 
 import copy
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.exp.spec import TrialSpec
+from repro.exp.spec import TrialSpec
 
 #: Scalar shortcuts sweep axes / params may override, mapped to the
 #: document path they rewrite.
@@ -142,7 +141,7 @@ class ScenarioRun:
     ``scenario`` importable without :mod:`repro.ops`.
     """
 
-    def __init__(self, trial: "TrialSpec") -> None:
+    def __init__(self, trial: TrialSpec) -> None:
         from repro.baselines.deployments import build_topology
         from repro.core.config import NetworkConfig
         from repro.faults import FaultInjector, FaultPlan
@@ -358,7 +357,7 @@ class ScenarioRun:
         }
 
 
-def execute(trial: "TrialSpec") -> dict[str, Any]:
+def execute(trial: TrialSpec) -> dict[str, Any]:
     """Run one scenario trial; see the module docstring."""
     run = ScenarioRun(trial)
     for time, callback in run.milestones():

@@ -24,7 +24,6 @@ from repro.vision.database import ObjectDatabase, ObjectRecord
 from repro.vision.features import (FeatureExtractor, Frame, ObjectModel,
                                    expected_feature_count)
 from repro.vision.matcher import MatchOutcome, ObjectMatcher
-from repro.vision.pool import MatcherPool
 
 __all__ = [
     "BatchObjectMatcher",
@@ -38,7 +37,6 @@ __all__ = [
     "Frame",
     "JPEG90",
     "MatchOutcome",
-    "MatcherPool",
     "ObjectDatabase",
     "ObjectMatcher",
     "ObjectModel",

@@ -146,8 +146,8 @@ class CandidateMatrixCache:
     Entries are keyed by name only: object models are assumed immutable
     for the lifetime of a database, which holds for
     :class:`~repro.vision.database.ObjectDatabase` records.  The cache
-    is thread-safe so one instance can back a
-    :class:`~repro.vision.pool.MatcherPool`.
+    is thread-safe, so matchers on several threads can share one
+    instance.
     """
 
     def __init__(self, capacity: int = 32) -> None:
@@ -240,9 +240,8 @@ class BatchObjectMatcher(ObjectMatcher):
     disables it, leaving the stacked exact per-candidate loop.
 
     Instances are not safe for concurrent use (the RNG stream and the
-    reused GEMM buffers are per-instance state); a
-    :class:`~repro.vision.pool.MatcherPool` gives each worker its own
-    matcher.
+    reused GEMM buffers are per-instance state): give each thread its
+    own matcher.
     """
 
     #: Below these sizes the screen's fixed costs outweigh the GEMM win

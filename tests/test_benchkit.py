@@ -59,27 +59,30 @@ def test_finish_writes_the_report_and_fails_on_any_gate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("caller_scheduler", [None, "reference"])
-def test_preset_gate_fails_on_crashed_trials(monkeypatch, caller_scheduler):
+def test_preset_gate_fails_on_crashed_trials(monkeypatch, tmp_path,
+                                             caller_scheduler):
     """A preset whose trials crash the same way under both schedulers
     has identical canonical JSON; the gate must still fail it, and
     leave the caller's scheduler setting as it was."""
-    from repro.exp import PRESETS, ExperimentSpec
     from repro.exp.workloads import WORKLOADS
 
     def boom(trial):
         raise RuntimeError("kaput")
 
     monkeypatch.setitem(WORKLOADS, "_bench_boom", boom)
-    monkeypatch.setitem(PRESETS, "_bench-boom", ExperimentSpec(
-        name="_bench-boom", workload="_bench_boom"))
+    document = tmp_path / "bench-boom.json"
+    document.write_text(json.dumps({
+        "scenario": {"name": "bench-boom", "version": 1,
+                     "description": "every trial crashes"},
+        "experiment": {"workload": "_bench_boom"}}))
     if caller_scheduler is None:
         monkeypatch.delenv(bench_sim.SCHEDULER_ENV, raising=False)
     else:
         monkeypatch.setenv(bench_sim.SCHEDULER_ENV, caller_scheduler)
 
-    identity, failures = bench_sim.check_presets(["_bench-boom"])
-    assert identity["_bench-boom"]["identical"]
-    assert failures == ["preset _bench-boom: a trial failed"]
+    identity, failures = bench_sim.check_presets([str(document)])
+    assert identity["bench-boom"]["identical"]
+    assert failures == ["preset bench-boom: a trial failed"]
     assert os.environ.get(bench_sim.SCHEDULER_ENV) == caller_scheduler
 
 

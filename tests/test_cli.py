@@ -1,8 +1,33 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import DEMOS, EXPERIMENTS, build_parser, main
+
+
+@pytest.fixture
+def stub_workloads(monkeypatch):
+    """Two throwaway workloads, registered for one test only."""
+    from repro.exp.workloads import WORKLOADS
+
+    def probe(trial):
+        return {"x": trial.param_dict["x"]}
+
+    def boom(trial):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setitem(WORKLOADS, "_cli_probe", probe)
+    monkeypatch.setitem(WORKLOADS, "_cli_boom", boom)
+
+
+def write_document(tmp_path, name, experiment):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "scenario": {"name": name, "version": 1, "description": name},
+        "experiment": experiment}))
+    return str(path)
 
 
 def test_info(capsys):
@@ -57,69 +82,42 @@ def test_parser_requires_command():
 
 
 def test_exp_list_shows_every_preset(capsys):
-    from repro.exp import PRESETS
-    assert main(["exp", "list"]) == 0
-    out = capsys.readouterr().out
-    for name in PRESETS:
-        assert name in out
+    from repro.scenario import catalogue, load
+    assert main(["scenario", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    presets = [name for name in catalogue()
+               if "preset" in load(name).tags]
+    assert "smoke" in presets
+    for name in presets:
+        (line,) = [line for line in lines if line.split()[:1] == [name]]
+        assert "preset" in line
 
 
 def test_exp_show_prints_spec_json_digests_and_seed_table(capsys):
-    import json
-
-    from repro.exp import preset
     from repro.scenario import load
-    assert main(["exp", "show", "smoke"]) == 0
+    assert main(["scenario", "show", "smoke"]) == 0
     out = capsys.readouterr().out
-    spec_json, _, rest = out.partition("\nspec digest: ")
-    spec = json.loads(spec_json)
-    assert spec["name"] == "smoke"
-    assert spec["workload"] == "ping"
-    assert preset("smoke").digest() in rest
+    document, _, rest = out.partition("\nscenario digest: ")
+    document = json.loads(document)
+    assert document["scenario"]["name"] == "smoke"
+    assert document["experiment"]["workload"] == "ping"
+    spec = load("smoke").compile()
+    assert spec.digest() in rest
     assert load("smoke").digest() in rest
     # the per-trial seed table pairs sweep cells on the base seed
-    for trial in preset("smoke").trials():
+    for trial in spec.trials():
         assert str(trial.seed) in rest
         assert f"  {trial.index:>3}  " in rest
     assert "paired" in rest
 
 
 def test_exp_unknown_preset_fails_cleanly(capsys):
-    assert main(["exp", "show", "fig99"]) == 2
-    assert "unknown preset" in capsys.readouterr().err
-    assert main(["exp", "run", "fig99"]) == 2
-
-
-def test_exp_run_writes_canonical_results(capsys, monkeypatch, tmp_path):
-    import json
-
-    from repro.exp import ExperimentSpec, PRESETS, workload
-
-    @workload("_cli_probe")
-    def probe(trial):
-        return {"x": trial.param_dict["x"]}
-
-    monkeypatch.setitem(PRESETS, "_cli-probe", ExperimentSpec(
-        name="_cli-probe", workload="_cli_probe", sweep={"x": (1, 2)}))
-    out_file = tmp_path / "results.json"
-    assert main(["exp", "run", "_cli-probe",
-                 "--output", str(out_file)]) == 0
-    data = json.loads(out_file.read_text())
-    assert [t["metrics"]["x"] for t in data["trials"]] == [1, 2]
-    assert all(t["status"] == "ok" for t in data["trials"])
-
-
-def test_exp_run_reports_failures_with_nonzero_exit(capsys, monkeypatch):
-    from repro.exp import ExperimentSpec, PRESETS, workload
-
-    @workload("_cli_boom")
-    def boom(trial):
-        raise RuntimeError("kaput")
-
-    monkeypatch.setitem(PRESETS, "_cli-boom", ExperimentSpec(
-        name="_cli-boom", workload="_cli_boom"))
-    assert main(["exp", "run", "_cli-boom"]) == 1
-    assert "kaput" in capsys.readouterr().err
+    assert main(["scenario", "show", "fig99"]) == 2
+    assert "fig99" in capsys.readouterr().err
+    assert main(["scenario", "run", "fig99"]) == 2
+    # the old second front door is gone, not silently kept
+    with pytest.raises(SystemExit):
+        main(["exp", "show", "smoke"])
 
 
 def test_scenario_list_shows_whole_catalogue(capsys):
@@ -131,8 +129,6 @@ def test_scenario_list_shows_whole_catalogue(capsys):
 
 
 def test_scenario_show_prints_document_and_digest(capsys):
-    import json
-
     from repro.scenario import load
     assert main(["scenario", "show", "quick_test"]) == 0
     out = capsys.readouterr().out
@@ -151,7 +147,6 @@ def test_scenario_validate_whole_catalogue(capsys):
 
 
 def test_scenario_validate_reports_bad_document(tmp_path, capsys):
-    import json
     bad = {"scenario": {"name": "bad", "version": 1,
                         "description": "d"},
            "topology": {"sites": 0},
@@ -170,9 +165,24 @@ def test_scenario_unknown_name_fails_cleanly(capsys):
     assert main(["scenario", "run", "no_such"]) == 2
 
 
-def test_scenario_run_jsonl_embeds_digest(capsys):
-    import json
+def test_scenario_run_writes_canonical_results(stub_workloads, tmp_path):
+    path = write_document(tmp_path, "cli-probe", {
+        "workload": "_cli_probe", "sweep": {"x": [1, 2]}})
+    out_file = tmp_path / "results.json"
+    assert main(["scenario", "run", path, "--output", str(out_file)]) == 0
+    data = json.loads(out_file.read_text())
+    assert [t["metrics"]["x"] for t in data["trials"]] == [1, 2]
+    assert all(t["status"] == "ok" for t in data["trials"])
 
+
+def test_scenario_run_reports_failures_with_nonzero_exit(stub_workloads,
+                                                         tmp_path, capsys):
+    path = write_document(tmp_path, "cli-boom", {"workload": "_cli_boom"})
+    assert main(["scenario", "run", path]) == 1
+    assert "kaput" in capsys.readouterr().err
+
+
+def test_scenario_run_jsonl_embeds_digest(capsys):
     from repro.scenario import load
     assert main(["scenario", "run", "quick_test", "--jsonl"]) == 0
     out = capsys.readouterr().out
@@ -187,8 +197,6 @@ def test_scenario_run_jsonl_embeds_digest(capsys):
 
 def test_scenario_run_json_wraps_result_with_provenance(tmp_path,
                                                         capsys):
-    import json
-
     from repro.scenario import load
     out_file = tmp_path / "result.json"
     assert main(["scenario", "run", "quick_test",

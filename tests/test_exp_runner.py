@@ -2,18 +2,22 @@
 
 import pytest
 
-from repro.exp import (ExperimentRunner, ExperimentSpec, PRESETS, preset,
-                       run_trial, workload)
+from repro.exp import ExperimentRunner, ExperimentSpec, WORKLOADS, run_trial
 from repro.exp.spec import TrialSpec
 from repro.sim.context import derive_seed
 
 
-@workload("_test_double")
 def _double(trial):
     p = trial.param_dict
     if p.get("explode"):
         raise RuntimeError("boom")
     return {"doubled": p["x"] * 2, "seed": trial.seed}
+
+
+@pytest.fixture(autouse=True)
+def _test_double(monkeypatch):
+    """Register the stub workload for one test at a time."""
+    monkeypatch.setitem(WORKLOADS, "_test_double", _double)
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +126,23 @@ def test_run_trial_is_usable_standalone():
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: the catalogue documents tagged "preset"
 # ---------------------------------------------------------------------------
 
 def test_presets_name_known_workloads():
-    from repro.exp.workloads import WORKLOADS
-    for name, spec in PRESETS.items():
+    from repro.scenario import catalogue, load
+    for name in catalogue():
+        scenario = load(name)
+        if "preset" not in scenario.tags:
+            continue
+        spec = scenario.compile()
         assert spec.name == name
         assert spec.workload in WORKLOADS
         assert spec.trials()     # every preset expands to >= 1 trial
 
 
 def test_preset_lookup_fails_cleanly():
-    assert preset("smoke") is PRESETS["smoke"]
-    with pytest.raises(KeyError):
-        preset("fig99")
+    from repro.scenario import ScenarioError, load
+    assert load("smoke").compile().name == "smoke"
+    with pytest.raises(ScenarioError):
+        load("fig99")

@@ -33,12 +33,12 @@ FORBIDDEN = {
     "core": {"repro.baselines", "repro.scenario", "repro.ops"},
     "apps": {"repro.baselines", "repro.scenario", "repro.ops"},
     "baselines": {"repro.scenario", "repro.exp", "repro.ops"},
-    # presets are compiled *from* scenario documents, so the exp
-    # package may import repro.scenario (see exp/presets.py) but the
-    # scenario layer must never reach back into repro.exp at module
-    # scope -- Scenario.compile() imports the spec lazily.
-    "scenario": {"repro.exp", "repro.ops"},
-    "exp": {"repro.ops"},
+    # a scenario document compiles *into* an exp spec, so the scenario
+    # layer imports repro.exp and never the other way round: the one
+    # edge back is the generic "scenario" workload's lazy import of
+    # the interpreter inside exp.workloads.run_scenario.
+    "scenario": {"repro.ops"},
+    "exp": {"repro.scenario", "repro.ops"},
 }
 
 

@@ -200,13 +200,13 @@ def test_run_until_boundary_inclusive(scheduler):
 # ---------------------------------------------------------------------------
 
 def test_smoke_preset_canonical_json_identical(monkeypatch):
-    from repro.exp.presets import preset
     from repro.exp.runner import ExperimentRunner
+    from repro.scenario import load
 
     outputs = {}
     for name in BOTH:
         monkeypatch.setenv("REPRO_SIM_SCHEDULER", name)
-        outputs[name] = ExperimentRunner(preset("smoke")).run()
+        outputs[name] = ExperimentRunner(load("smoke").compile()).run()
     monkeypatch.delenv("REPRO_SIM_SCHEDULER")
     assert (outputs["fast"].canonical_json()
             == outputs["reference"].canonical_json())

@@ -53,7 +53,8 @@ from unittest import mock
 
 import benchkit
 from repro.core.config import NetworkConfig, ResilienceConfig, SimConfig
-from repro.exp.presets import PRESETS, preset
+from repro.exp import ExperimentRunner, ExperimentSpec
+from repro.scenario import catalogue, load
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Node
@@ -63,10 +64,11 @@ from repro.sim.traffic import CBRSource
 SCHEDULERS = ("fast", "reference")
 SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
 
-#: Presets whose canonical JSON must be byte-identical across
-#: schedulers: every shipped one, so each has a committed digest.
-IDENTITY_PRESETS = tuple(sorted(PRESETS))
-SMOKE_IDENTITY_PRESETS = ("smoke",)
+#: Catalogue tag of the presets whose canonical JSON must be
+#: byte-identical across schedulers: every shipped one, so each has a
+#: committed digest.
+PRESET_TAG = "preset"
+SMOKE_IDENTITY = ("smoke",)
 
 #: Acceptance gate: fast-scheduler speedup on the packet flood.
 FLOOD_GATE = 3.0
@@ -254,26 +256,27 @@ SMOKE_SIZES = {
 }
 
 
-def preset_digest(name: str, scheduler: str) -> tuple[str, bool]:
-    """SHA-256 of a preset's canonical JSON under one scheduler, and
-    whether every trial succeeded.  The caller's scheduler setting is
-    restored afterwards."""
-    from repro.exp.runner import ExperimentRunner
-
+def preset_digest(spec: ExperimentSpec,
+                  scheduler: str) -> tuple[str, bool]:
+    """SHA-256 of a compiled preset's canonical JSON under one
+    scheduler, and whether every trial succeeded.  The caller's
+    scheduler setting is restored afterwards."""
     with mock.patch.dict(os.environ, {SCHEDULER_ENV: scheduler}):
-        result = ExperimentRunner(preset(name)).run()
+        result = ExperimentRunner(spec).run()
     digest = hashlib.sha256(result.canonical_json().encode()).hexdigest()
     return digest, result.ok
 
 
 def check_presets(names) -> tuple[dict, list[str]]:
-    """Run each preset under both schedulers.  The gate: every trial
+    """Run each preset (a catalogue name or document path, keyed by its
+    scenario name) under both schedulers.  The gate: every trial
     succeeds and the canonical JSON is byte-identical -- a trial that
     crashes the same way under both schedulers is not a pass."""
     identity, failures = {}, []
-    for name in names:
-        fast, fast_ok = preset_digest(name, "fast")
-        ref, ref_ok = preset_digest(name, "reference")
+    for spec in (load(name).compile() for name in names):
+        name = spec.name
+        fast, fast_ok = preset_digest(spec, "fast")
+        ref, ref_ok = preset_digest(spec, "reference")
         identical, ok = fast == ref, fast_ok and ref_ok
         identity[name] = {"sha256": fast, "identical": identical,
                           "trials_ok": ok}
@@ -322,7 +325,8 @@ def main(argv=None) -> int:
         }
 
     identity, preset_failures = check_presets(
-        SMOKE_IDENTITY_PRESETS if args.smoke else IDENTITY_PRESETS)
+        SMOKE_IDENTITY if args.smoke else
+        [name for name in catalogue() if PRESET_TAG in load(name).tags])
     failures += preset_failures
 
     flood = workloads.get("packet_flood", {}).get("speedup", 0.0)

@@ -6,7 +6,10 @@ the batch and reference matchers) and declares its variants, its check
 that they agree, and its gates.  This module owns the rest: the
 command line, the timing protocol (:func:`alternate`), the host block
 (:func:`provenance`, with the keys of ``perfbench/run.py``'s report
-line) and the report file (:func:`finish`).
+line) and the report file (:func:`finish`).  Importing it pins BLAS to
+one thread, as ``perfbench/run.py`` does, so a timing does not depend
+on how many cores numpy's BLAS grabs on the host: the tools import it
+before numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+os.environ.update({name: "1" for name in BLAS_THREAD_VARS})
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # The tools run as plain scripts from a checkout.
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -33,6 +40,7 @@ PROTOCOL = {
     "order": "variants alternate within each round",
     "gc": "collected before each round, disabled during it",
     "statistic": "median over rounds",
+    "blas": "one thread (" + ", ".join(BLAS_THREAD_VARS) + " = 1)",
 }
 
 
